@@ -81,6 +81,16 @@ class TestFieldArith:
         assert all(c.denominator == 1 for c in x.den.coefficients)
         assert x.den.coefficients[-1] > 0
 
+    def test_constants_hash_like_their_value(self):
+        # equal objects must hash equal, so sets and dict keys mix them
+        for value in (0, 1, -3, Fraction(1, 2), Fraction(-7, 4)):
+            elem = as_field(value)
+            assert elem == value
+            assert hash(elem) == hash(value)
+            assert len({elem, value}) == 1
+        assert len({FieldElem(1), 1}) == 1
+        assert {q: "x"}[as_field(q)] == "x"
+
 
 class TestPow:
     def test_monomial(self):

@@ -1,11 +1,27 @@
 """Stress tests for the polynomial gcd/division cores against a plain
 Fraction-based Euclid oracle, covering the small (subresultant) and large
-(modular-image) code paths, degree gaps, and non-monic inputs."""
+(modular-image) code paths, degree gaps, and non-monic inputs; and property
+tests of the integer-vector multiply and exact division against schoolbook
+references, on both sides of their packing cut-offs."""
 
 import random
 from fractions import Fraction
+from math import comb
 
-from hankelkit.field import FieldElem, Polynomial, as_field, q
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hankelkit.field import (
+    _DIV_PACK_MIN,
+    _MUL_PACK_MIN,
+    FieldElem,
+    Polynomial,
+    _mul_int,
+    _try_div_exact,
+    as_field,
+    q,
+)
 from hankelkit.qcalc import q_pochhammer
 
 
@@ -139,3 +155,136 @@ def test_large_power_round_trip():
     x = (1 + q) / (1 - 2 * q + q ** 3)
     assert (x ** 9) * (x ** -9) == 1
     assert x ** 9 == (x ** 3) ** 3
+
+
+# ---------------------------------------------------------------------------
+# integer-vector kernels against schoolbook references
+# ---------------------------------------------------------------------------
+
+
+def schoolbook_mul(a, b):
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+def schoolbook_div(f, g):
+    """Quotient of f by g over Z by long division over Q, or None."""
+    if not f:
+        return ()
+    if len(f) < len(g):
+        return None
+    rem = [Fraction(c) for c in f]
+    quot = [Fraction(0)] * (len(f) - len(g) + 1)
+    for off in range(len(quot) - 1, -1, -1):
+        c = rem[off + len(g) - 1] / g[-1]
+        quot[off] = c
+        for i, gc in enumerate(g):
+            rem[off + i] -= c * gc
+    if any(rem) or any(c.denominator != 1 for c in quot):
+        return None
+    return tuple(int(c) for c in quot)
+
+
+_MAX_LEN = 2 * max(_MUL_PACK_MIN, _DIV_PACK_MIN) + 8
+
+
+@st.composite
+def int_vectors(draw, max_len=_MAX_LEN):
+    """Trimmed signed vectors, sometimes with zero low coefficients."""
+    bits = draw(st.integers(0, 160))
+    span = 1 << bits
+    low = draw(st.integers(0, 3)) * (draw(st.integers(0, 3)) == 0)
+    body = draw(st.lists(st.integers(-span, span), min_size=0, max_size=max_len - low - 1))
+    lead = draw(st.integers(1, span)) * draw(st.sampled_from((1, -1)))
+    return (0,) * low + tuple(body) + (lead,)
+
+
+@settings(max_examples=120, deadline=None)
+@given(int_vectors(), int_vectors())
+def test_mul_int_matches_schoolbook(a, b):
+    assert _mul_int(a, b) == schoolbook_mul(a, b)
+
+
+@settings(max_examples=120, deadline=None)
+@given(int_vectors(), int_vectors())
+def test_try_div_exact_recovers_quotient(g, h):
+    assert _try_div_exact(schoolbook_mul(g, h), g) == h
+
+
+@settings(max_examples=60, deadline=None)
+@given(int_vectors(), int_vectors(), st.integers(1, 60), st.integers(1, 1 << 40))
+def test_try_div_exact_even_constant_term(g, h, twos, odd):
+    g = (odd << twos,) + g
+    assert _try_div_exact(schoolbook_mul(g, h), g) == h
+
+
+@settings(max_examples=120, deadline=None)
+@given(int_vectors(), int_vectors(), st.data())
+def test_try_div_exact_matches_schoolbook_on_perturbed(g, h, data):
+    f = list(schoolbook_mul(g, h))
+    pos = data.draw(st.integers(0, len(f) - 1))
+    f[pos] += data.draw(st.integers(1, 1 << 50)) * data.draw(st.sampled_from((1, -1)))
+    while f and not f[-1]:
+        f.pop()
+    f = tuple(f)
+    assert _try_div_exact(f, g) == schoolbook_div(f, g)
+
+
+def _random_vector(rng, length, bits):
+    span = 1 << bits
+    return tuple(rng.randint(-span, span) for _ in range(length - 1)) + (rng.randint(1, span),)
+
+
+@pytest.mark.parametrize("cut", [_MUL_PACK_MIN, _DIV_PACK_MIN])
+def test_kernels_across_cutoffs(cut):
+    rng = random.Random(cut)
+    for la in (cut - 1, cut, cut + 1):
+        for lb in (cut - 1, cut, cut + 1, 4 * cut):
+            for bits in (1, 64, 300):
+                a = _random_vector(rng, la, bits)
+                b = _random_vector(rng, lb, bits)
+                prod = _mul_int(a, b)
+                assert prod == schoolbook_mul(a, b)
+                assert _try_div_exact(prod, a) == b
+                assert _try_div_exact(prod, b) == a
+                off = list(prod)
+                off[la // 2] += 1
+                assert _try_div_exact(tuple(off), b) is None
+
+
+def test_try_div_exact_cheap_rejections():
+    n = 2 * _DIV_PACK_MIN
+    g = tuple(range(1, n + 1))
+    h = tuple(range(2, n + 2))
+    f = _mul_int(g, h)
+    # leading coefficient not divisible
+    assert _try_div_exact(f[:-1] + (f[-1] + 1,), g) is None
+    # fewer zero low coefficients in f than in g, even where the rest of f
+    # is a multiple of the rest of g
+    assert _try_div_exact(f, (0,) + g) is None
+    assert _try_div_exact((5,) + f, (0,) + g) is None
+    # 2-adic valuation of the packed dividend below the divisor's
+    even = tuple(2 * c for c in g)
+    assert _try_div_exact((f[0] + 1,) + f[1:], even) is None
+
+
+def test_try_div_exact_quotient_wider_than_dividend():
+    # (1 + q)^k (1 - q)^(2k) / (1 + q)^k: the quotient's coefficients are
+    # wider than the dividend's, and far wider than bits(f) - bits(g), which
+    # sizes the packing slot; the certificate fails and the schoolbook loop
+    # decides
+    k = 2 * _DIV_PACK_MIN
+    g = tuple(comb(k, j) for j in range(k + 1))
+    h = tuple((-1) ** j * comb(2 * k, j) for j in range(2 * k + 1))
+    f = _mul_int(g, h)
+    bits = lambda v: max(map(int.bit_length, v))  # noqa: E731
+    assert bits(h) > bits(f)
+    assert bits(h) > bits(f) - bits(g) + 64
+    assert _try_div_exact(f, g) == h
+    assert _try_div_exact(f, h) == g
+    assert _try_div_exact(f[:-1] + (f[-1] * 3,), g) is None

@@ -1,15 +1,18 @@
 """Suite runner: determinism, isolation, sampling, report formats."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
+from hankelkit.closed_forms import QParams
 from hankelkit.errors import InsufficientSamples
 from hankelkit.field import q
 from hankelkit.verify import (
     SUITES,
     Case,
     SuiteSpec,
+    _pole_free,
     _run_case,
     build_cases,
     report_to_csv,
@@ -44,6 +47,39 @@ class TestSampleParameters:
         base = sample_parameters("q-power", 2, seed=0)
         shifted = sample_parameters("q-power", 1, seed=1)
         assert shifted[0] == base[1]
+
+    @pytest.mark.parametrize("seed, expected", [
+        (0, [("1/2", "2"), ("2", "1/2"), ("1/2", "1/3")]),
+        (7, [("3", "1/2"), ("1/2", "1/4"), ("2", "3")]),
+        (123, [("2/5", "1/4"), ("3/4", "3"), ("4/3", "1/3")]),
+        (500, [("2/7", "2/5"), ("4/5", "1/6"), ("5/4", "5")]),
+        (1121, [("7/6", "6/7"), ("1/2", "2"), ("2", "1/2")]),
+    ])
+    def test_rational_enumeration_pinned(self, seed, expected):
+        # values recorded from the general FieldElem screen; the rotation wraps
+        # at 1122 screened candidates
+        for n_max in (5, 8):
+            got = sample_parameters("rational", 3, seed=seed, n_max=n_max)
+            assert [(str(p.a), str(p.b)) for p in got] == expected
+            assert all(p.base == q for p in got)
+        with pytest.raises(InsufficientSamples, match="only 1122 "):
+            sample_parameters("rational", 1123, seed=seed)
+
+    def test_pole_screen(self):
+        # for a constant a and base q only e = 0 can vanish, when a = 1
+        assert not _pole_free(QParams(1, Fraction(1, 2), q), 5)
+        assert _pole_free(QParams(Fraction(1, 2), 1, q), 5)
+        assert _pole_free(QParams(0, 1, q), 5)
+        # anything else takes the general screen: 1 - q^2 * q^-2 = 0
+        assert not _pole_free(QParams(q ** -2, 1, q), 5)
+        assert _pole_free(QParams(q ** -2, 1, q ** 3), 5)
+
+    def test_q_power_enumeration_pinned(self):
+        got = sample_parameters("q-power", 32, seed=0)
+        assert [(str(p.a), str(p.b), str(p.base)) for p in got[-3:]] == [
+            ("q^6", "q^3", "q"), ("q^6", "q^4", "q"), ("q^6", "q^5", "q"),
+        ]
+        assert sample_parameters("q-power", 1, seed=32) == got[:1]
 
     def test_insufficient(self):
         with pytest.raises(InsufficientSamples):
