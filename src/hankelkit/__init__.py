@@ -33,7 +33,6 @@ from .errors import (
 from .field import (
     FieldElem,
     Polynomial,
-    Rational,
     as_field,
     parse_field_expr,
     q,

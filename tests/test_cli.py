@@ -125,6 +125,14 @@ class TestDetCommand:
         code, _, err = run_cli(capsys, "det", "--seq", "c:1,q,q", "--n", "2")
         assert code == 3
 
+    @pytest.mark.parametrize("nest", ["({})", "-{}"])
+    def test_deep_nesting_is_a_parse_error(self, capsys, nest):
+        expr = "q"
+        for _ in range(400):
+            expr = nest.format(expr)
+        code, _, err = run_cli(capsys, "det", "--seq", f"c:{expr},q,q^2", "--n", "2")
+        assert code == 2 and "nesting deeper than" in err
+
     def test_json_schema(self, capsys):
         code, out, _ = run_cli(
             capsys, "det", "--seq", "catalan", "--n", "2", "--format", "json"

@@ -1,22 +1,26 @@
 """Stress tests for the polynomial gcd/division cores against a plain
 Fraction-based Euclid oracle, covering the small (subresultant) and large
-(modular-image) code paths, degree gaps, and non-monic inputs; and property
+(modular-image) code paths, degree gaps, and non-monic inputs; property
 tests of the integer-vector multiply and exact division against schoolbook
-references, on both sides of their packing cut-offs."""
+references, on both sides of their packing cut-offs; and of the packed
+GF(p) Euclid against a residue-list Euclid."""
 
 import random
 from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from hankelkit import field
 from hankelkit.field import (
     _DIV_PACK_MIN,
+    _GCD_PRIMES,
     _MUL_PACK_MIN,
     FieldElem,
     Polynomial,
+    _gcd_mod,
     _mul_int,
     _try_div_exact,
     as_field,
@@ -288,3 +292,101 @@ def test_try_div_exact_quotient_wider_than_dividend():
     assert _try_div_exact(f, g) == h
     assert _try_div_exact(f, h) == g
     assert _try_div_exact(f[:-1] + (f[-1] * 3,), g) is None
+
+
+# ---------------------------------------------------------------------------
+# the packed GF(p) Euclid against a residue-list Euclid
+# ---------------------------------------------------------------------------
+
+
+def list_gcd_mod(f, g, p):
+    """Monic gcd of the images of f, g in GF(p)[q], by the textbook Euclid
+    on residue lists."""
+
+    def trim(v):
+        while v and v[-1] == 0:
+            v.pop()
+        return v
+
+    a = trim([c % p for c in f])
+    b = trim([c % p for c in g])
+    while b:
+        inv = pow(b[-1], -1, p)
+        while len(a) >= len(b):
+            c = a[-1] * inv % p
+            off = len(a) - len(b)
+            for i, bc in enumerate(b):
+                a[off + i] = (a[off + i] - c * bc) % p
+            trim(a)
+        a, b = b, a
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+@st.composite
+def gcd_mod_inputs(draw):
+    """(f, g, p): f = h u and g = h v over Z, with lengths of f on both sides
+    of the subresultant cut-off (40) and degree gaps past 32; coefficients
+    wider than p, some of them multiples of p (the image loses its lead)."""
+    p = draw(st.sampled_from(_GCD_PRIMES))
+    span = 1 << draw(st.integers(1, 600))
+    multiple = st.sampled_from((p, -p, 3 * p))
+    coeff = st.one_of(st.integers(-span, span), multiple)
+
+    def vector(max_len):
+        body = draw(st.lists(coeff, min_size=0, max_size=max_len - 1))
+        return tuple(body) + (draw(st.one_of(st.integers(1, span), multiple)),)
+
+    h, u, v = vector(12), vector(80), vector(12)
+    f, g = _mul_int(h, u), _mul_int(h, v)
+    # the gcd of two zero images is undefined
+    assume(any(c % p for c in f + g))
+    if draw(st.booleans()):
+        f, g = g, f
+    return f, g, p
+
+
+@settings(max_examples=150, deadline=None)
+@given(gcd_mod_inputs())
+def test_gcd_mod_matches_list_euclid(args):
+    f, g, p = args
+    assert _gcd_mod(f, g, p) == list_gcd_mod(f, g, p)
+
+
+@pytest.mark.parametrize("p", _GCD_PRIMES)
+@pytest.mark.parametrize(
+    "lengths",
+    # f shorter and longer than 40 coefficients, with and without a gap past 32
+    [(5, 20, 20), (2, 36, 2), (8, 60, 60), (3, 79, 4)],
+)
+def test_gcd_mod_shapes(p, lengths):
+    rng = random.Random(len(str(p)) + sum(lengths))
+    for bits in (8, 200, 700):
+        h, u, v = (_random_vector(rng, n, bits) for n in lengths)
+        f, g = _mul_int(h, u), _mul_int(h, v)
+        assert _gcd_mod(f, g, p) == list_gcd_mod(f, g, p)
+        assert _gcd_mod(g, f, p) == list_gcd_mod(f, g, p)
+
+
+def test_gcd_primes_are_mersenne_primes():
+    # the packed Euclid folds slots with 2^k = 1 modulo p
+    sympy = pytest.importorskip("sympy")
+    for p in _GCD_PRIMES:
+        assert p & (p + 1) == 0
+        assert sympy.isprime(p)
+
+
+def test_wide_common_factor_lifts_without_subresultant(monkeypatch):
+    # a 450-bit common factor needs more than the four smaller primes
+    # (384 bits together); the fifth, 2^521 - 1, lifts it
+    def refuse(f, g):
+        raise AssertionError("subresultant fallback ran")
+
+    rng = random.Random(450)
+    h = _random_vector(rng, 7, 450)
+    u = _random_vector(rng, 37, 10)
+    v = _random_vector(rng, 37, 10)
+    f, g = Polynomial(_mul_int(h, u)), Polynomial(_mul_int(h, v))
+    assert len(f.coeffs) > 40
+    monkeypatch.setattr(field, "_subresultant_gcd", refuse)
+    assert normalized(f.gcd(g)) == normalized(Polynomial(h))

@@ -1,5 +1,6 @@
 """q-calculus primitives against independent recurrence oracles."""
 
+import sys
 from fractions import Fraction
 from math import comb
 
@@ -124,3 +125,33 @@ def test_bracket_falling_pochhammer_identity():
         for n in range(7):
             rhs = (base_factor ** n / (q - 1) ** n) * q_pochhammer(1 / base_factor, q, n)
             assert bracket_falling(x, n) == rhs, (x, n)
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+@pytest.mark.parametrize(
+    "fn, head",
+    [(q_factorial, ()), (q_pochhammer, (q, q)), (bracket_falling, (Fraction(1, 3),))],
+)
+def test_running_products_cold_equal_warm(fn, head):
+    # a cold call must not recurse once per factor: with 50 frames to spare,
+    # a length of 60 overflows the stack unless the table fills bottom-up
+    n = 60
+    fn.cache_clear()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 50)
+    try:
+        cold = fn(*head, n)
+    finally:
+        sys.setrecursionlimit(limit)
+    fn.cache_clear()
+    warm = [fn(*head, k) for k in range(n + 1)]
+    assert cold == warm[-1]
+    # the empty product is in every row: the call for 0 is a hit
+    assert fn.cache_info()[:2] == (1, n)
+    assert fn(*head, n) == cold and fn.cache_info()[:2] == (2, n)
