@@ -13,7 +13,8 @@ Two determinant engines are provided and must agree:
 from __future__ import annotations
 
 from .errors import NotNormalized, SingularLeadingMinor
-from .field import F_ONE, F_ZERO, FieldElem, P_ONE, P_ZERO, as_field
+from .field import (F_ONE, F_ZERO, FieldElem, P_ONE, P_ZERO, Polynomial, _gcd_cofactors,
+                    _mul_int, as_field)
 from .sequences import MomentSeq
 from .triangle import JacobiParams
 
@@ -98,17 +99,23 @@ def _row_clearance(row):
     row lcm, the pieces multiply to that lcm and are kept separate so the
     final reduction can divide them back out one by one.
     """
-    lcm = P_ONE
+    lcm = (1,)
     pieces = []
+    multipliers = []
     for v in row:
-        g = lcm.gcd(v.den)
-        extra = v.den // g
-        if extra.degree > 0:
-            pieces.append(extra)
-            lcm = lcm * extra
+        # lcm / g extends to lcm / v.den once v.den / g joins the lcm; the
+        # pieces found after v multiply it up to the row lcm over v.den
+        _, lcm_cof, extra = _gcd_cofactors(lcm, v.den.coeffs)
+        if len(extra) > 1:
+            pieces.append(Polynomial._make(1, extra))
+            lcm = _mul_int(lcm, extra)
+        multipliers.append((lcm_cof, len(pieces)))
+    tails = [P_ONE]
+    for piece in reversed(pieces):
+        tails.append(tails[-1] * piece)
     nums = []
-    for v in row:
-        nums.append(v.num * (lcm // v.den))
+    for v, (lcm_cof, seen) in zip(row, multipliers):
+        nums.append(v.num * Polynomial._make(1, lcm_cof) * tails[len(pieces) - seen])
     return nums, pieces
 
 

@@ -1,20 +1,17 @@
 """Suite runner for the closed-form-vs-oracle verification grids.
 
 Every suite is a deterministic list of cases built purely from its SuiteSpec;
-records come back in spec order no matter how execution is scheduled, and a
-failing case never stops the rest of the suite.  The reciprocal-bracket
-formula is carried as a set of expected-failure cases: the report documents
-the mismatch instead of hiding it, and an expected failure that unexpectedly
-holds is flagged as an anomaly.
+records come back in spec order, and a failing case never stops the rest of
+the suite.  The reciprocal-bracket formula is carried as a set of
+expected-failure cases: the report documents the mismatch instead of hiding
+it, and an expected failure that unexpectedly holds is flagged as an anomaly.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
@@ -801,14 +798,6 @@ _SUITE_BUILDERS = {
 SUITES = tuple(sorted(_SUITE_BUILDERS))
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("HANKELKIT_THREADS", "")
-    try:
-        return max(int(raw), 0)
-    except ValueError:
-        return 0
-
-
 def _run_case(case: Case) -> CaseRecord:
     start = time.perf_counter()
     try:
@@ -853,13 +842,7 @@ def build_cases(spec: SuiteSpec):
 
 def run_suite(spec: SuiteSpec) -> SuiteReport:
     """Execute a suite; records come back in deterministic spec order."""
-    cases = build_cases(spec)
-    workers = _thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_run_case, cases))
-    else:
-        records = [_run_case(c) for c in cases]
+    records = [_run_case(c) for c in build_cases(spec)]
     report = SuiteReport(
         suite=spec.suite,
         spec={

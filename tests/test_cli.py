@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import time
 
 import pytest
 
@@ -132,6 +133,12 @@ class TestDetCommand:
             expr = nest.format(expr)
         code, _, err = run_cli(capsys, "det", "--seq", f"c:{expr},q,q^2", "--n", "2")
         assert code == 2 and "nesting deeper than" in err
+
+    def test_huge_power_is_a_parse_error(self, capsys):
+        start = time.perf_counter()
+        code, _, err = run_cli(capsys, "det", "--seq", "c:(q^1000)^1000,q,q^2", "--n", "2")
+        assert code == 2 and "power too large" in err
+        assert time.perf_counter() - start < 1.0
 
     def test_json_schema(self, capsys):
         code, out, _ = run_cli(

@@ -155,6 +155,24 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_field_expr("1+q) ")
 
+    def test_powers_up_to_degree_1000(self):
+        assert parse_field_expr("q^1000") == q ** 1000
+        assert parse_field_expr("(1+q)^1000").num.degree == 1000
+        assert parse_field_expr("(q/(1+q^2))^-500").num.degree == 1000
+        assert parse_field_expr("2^1000") == 2 ** 1000
+
+    @pytest.mark.parametrize("text, position", [
+        ("(q^1000)^1000", 9),
+        ("q^1000000000", 2),
+        ("2^1001", 2),
+        ("2^-1001", 2),
+        ("(q/(1+q^2))^ -501", 13),
+    ])
+    def test_power_bound_error_position(self, text, position):
+        with pytest.raises(ParseError, match="power too large") as err:
+            parse_field_expr(text)
+        assert err.value.position == position
+
 
 @settings(max_examples=80, deadline=None)
 @given(field_elems(), field_elems(), field_elems())

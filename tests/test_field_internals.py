@@ -3,7 +3,8 @@ Fraction-based Euclid oracle, covering the small (subresultant) and large
 (modular-image) code paths, degree gaps, and non-monic inputs; property
 tests of the integer-vector multiply and exact division against schoolbook
 references, on both sides of their packing cut-offs; and of the packed
-GF(p) Euclid against a residue-list Euclid."""
+GF(p) Euclid against a residue-list Euclid; and of the gcd's cofactors and
+the Henrici addition built on them."""
 
 import random
 from fractions import Fraction
@@ -20,8 +21,10 @@ from hankelkit.field import (
     _MUL_PACK_MIN,
     FieldElem,
     Polynomial,
+    _gcd_cofactors,
     _gcd_mod,
     _mul_int,
+    _primitive,
     _try_div_exact,
     as_field,
     q,
@@ -93,7 +96,7 @@ def test_gcd_matches_euclid_oracle_large_degrees():
 
 
 def test_gcd_large_degree_gap():
-    # a gap wider than the rational-remainder threshold, non-monic divisor
+    # a degree gap of 77 on the modular path, non-monic divisor
     rng = random.Random(11)
     g = random_poly(rng, 6)
     big = random_poly(rng, 80) * g
@@ -390,3 +393,135 @@ def test_wide_common_factor_lifts_without_subresultant(monkeypatch):
     assert len(f.coeffs) > 40
     monkeypatch.setattr(field, "_subresultant_gcd", refuse)
     assert normalized(f.gcd(g)) == normalized(Polynomial(h))
+
+
+# ---------------------------------------------------------------------------
+# gcd cofactors and Henrici addition
+# ---------------------------------------------------------------------------
+
+
+def _primitive_vector(rng, length, bits):
+    prim, _ = _primitive(_random_vector(rng, length, bits))
+    return prim
+
+
+def _coprime(f, g):
+    """True when a prime p not dividing lc(f) gives a constant gcd of the
+    images: the image gcd has at least the degree of the gcd over Q."""
+    for p in (_GCD_PRIMES[0], 1_000_000_007, 998_244_353):
+        if f[-1] % p and list_gcd_mod(f, g, p) == [1]:
+            return True
+    return False
+
+
+def _check_cofactors(f, g):
+    h, f_cof, g_cof = _gcd_cofactors(f, g)
+    assert h[-1] > 0
+    assert _mul_int(h, f_cof) == f
+    assert _mul_int(h, g_cof) == g
+    assert _coprime(f_cof, g_cof)
+    assert _gcd_cofactors(g, f) == (h, g_cof, f_cof)
+    return h
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 1 << 32), st.integers(1, 12), st.integers(1, 60),
+       st.integers(1, 60), st.integers(1, 80))
+def test_gcd_cofactors_property(seed, len_h, len_u, len_v, bits):
+    # lengths of f and g on both sides of the subresultant cut-off (40)
+    rng = random.Random(seed)
+    h = _primitive_vector(rng, len_h, bits)
+    u = _primitive_vector(rng, len_u, bits)
+    v = _primitive_vector(rng, len_v, bits)
+    common = _check_cofactors(_mul_int(h, u), _mul_int(h, v))
+    # h u and h v may share more than h, never less
+    assert _try_div_exact(common, h) is not None
+
+
+def test_gcd_cofactors_trivial_gcd_returns_inputs():
+    f, g = (1, 0, 1), (1, 1)
+    h, f_cof, g_cof = _gcd_cofactors(f, g)
+    assert h == (1,) and f_cof is f and g_cof is g
+
+
+def test_gcd_cofactors_wide_common_factor_takes_subresultant(monkeypatch):
+    # a 950-bit common factor is past what the five primes lift (~900 bits),
+    # so the subresultant sequence decides and its cofactors are divided once
+    calls = []
+    subresultant = field._subresultant_gcd
+
+    def counted(f, g):
+        calls.append(len(f))
+        return subresultant(f, g)
+
+    monkeypatch.setattr(field, "_subresultant_gcd", counted)
+    rng = random.Random(950)
+    h = _primitive_vector(rng, 38, 950)
+    u = _primitive_vector(rng, 4, 8)
+    v = _primitive_vector(rng, 3, 8)
+    f, g = _mul_int(h, u), _mul_int(h, v)
+    assert len(f) > 40
+    assert _check_cofactors(f, g) == h
+    assert calls
+
+
+@st.composite
+def elem_pairs(draw):
+    """Two reduced elements whose denominators share a random factor, or
+    none; or x and w - x, whose sum w cancels part of the shared factor."""
+    rng = random.Random(draw(st.integers(0, 1 << 32)))
+    bits = draw(st.integers(1, 40))
+
+    def poly(length):
+        return Polynomial(_random_vector(rng, length, bits))
+
+    shared = poly(draw(st.integers(1, 25)))
+    x = FieldElem(poly(draw(st.integers(1, 30))), poly(draw(st.integers(1, 25))) * shared)
+    y = FieldElem(poly(draw(st.integers(1, 30))), poly(draw(st.integers(1, 25))) * shared)
+    if draw(st.booleans()):
+        w = y
+        y = FieldElem(w.num * x.den - x.num * w.den, w.den * x.den)
+    return x, y
+
+
+@settings(max_examples=60, deadline=None)
+@given(elem_pairs())
+def test_henrici_addition_matches_reduced_sum(pair):
+    x, y = pair
+    expected = FieldElem(x.num * y.den + y.num * x.den, x.den * y.den)
+    for total in (x + y, y + x):
+        assert total.num == expected.num and total.den == expected.den
+    assert x - x == 0 and (x + (-x)).den == Polynomial([1])
+
+
+def test_henrici_addition_with_equal_denominators_reduces():
+    # (1 + q) / (1 - q^2) and q / (1 - q^2) add to (1 + 2q) / (1 - q^2);
+    # 1 / (1 - q) - q / (1 - q) cancels to 1
+    den = Polynomial([1, 0, -1])
+    assert FieldElem(Polynomial([0, 1]), den) + FieldElem(Polynomial([1, 1]), den) == (
+        FieldElem(Polynomial([1, 2]), den)
+    )
+    one_minus_q = Polynomial([1, -1])
+    assert FieldElem(1, one_minus_q) - FieldElem(Polynomial([0, 1]), one_minus_q) == 1
+
+
+def test_field_elem_reduction_divides_once(monkeypatch):
+    # the modular gcd certifies its candidate by dividing f h and g h by it,
+    # and those two quotients are the reduced numerator and denominator
+    calls = []
+    try_div_exact = field._try_div_exact
+
+    def counted(f, g):
+        calls.append((f, g))
+        return try_div_exact(f, g)
+
+    rng = random.Random(41)
+    f = Polynomial(_random_vector(rng, 30, 20))
+    g = Polynomial(_random_vector(rng, 30, 20))
+    h = Polynomial(_random_vector(rng, 20, 20))
+    num, den = f * h, g * h
+    assert len(num.coeffs) > 40 and len(den.coeffs) > 40
+    monkeypatch.setattr(field, "_try_div_exact", counted)
+    x = FieldElem(num, den)
+    assert len(calls) == 2
+    assert x == FieldElem(f, g) and x.den.degree == 29

@@ -156,13 +156,6 @@ class TestRunSuite:
         second_csv = report_to_csv(run_suite(spec), include_timings=False)
         assert first_csv == second_csv
 
-    def test_threaded_matches_sequential(self, monkeypatch):
-        spec = SuiteSpec("engine-agreement", seed=5)
-        sequential = report_to_json(run_suite(spec), include_timings=False)
-        monkeypatch.setenv("HANKELKIT_THREADS", "4")
-        threaded = report_to_json(run_suite(spec), include_timings=False)
-        assert sequential == threaded
-
 
 class TestReportFormats:
     def test_json_structure(self):
