@@ -3,11 +3,13 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hankelkit.errors import DivisionByZero, ParseError, PoleAtPoint
 from hankelkit.field import (
+    F_ONE,
+    F_ZERO,
     FieldElem,
     Polynomial,
     as_field,
@@ -182,6 +184,26 @@ def test_field_axioms(x, y, z):
     assert x + y == y + x
     if not x.is_zero:
         assert x * (1 / x) == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(st.just(F_ZERO), field_elems().map(lambda x: x / (1 + 2 * q - q * q))))
+def test_power_is_repeated_multiplication(x):
+    # the divisor cancels only against a numerator it divides
+    assume(x.is_zero or x.den.degree > 0)
+    for e in range(-5, 13):
+        if x.is_zero and e < 0:
+            with pytest.raises(DivisionByZero):
+                x ** e
+            continue
+        factor = x if e >= 0 else 1 / x
+        expected = F_ONE
+        for _ in range(abs(e)):
+            expected = expected * factor
+        assert x ** e == expected
+        if e >= 0:
+            assert x.num ** e == expected.num
+            assert x.den ** e == expected.den
 
 
 @settings(max_examples=80, deadline=None)

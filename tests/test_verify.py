@@ -1,5 +1,6 @@
 """Suite runner: determinism, isolation, sampling, report formats."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -155,6 +156,32 @@ class TestRunSuite:
         first_csv = report_to_csv(run_suite(spec), include_timings=False)
         second_csv = report_to_csv(run_suite(spec), include_timings=False)
         assert first_csv == second_csv
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestPinnedSuites:
+    """The spec order and every report byte, pinned by digest: a change to
+    how the suites are built must not move a case or change a record."""
+
+    def test_all_suite_case_keys(self):
+        cases = build_cases(SuiteSpec("all"))
+        keys = [(c.check, c.params, c.n, c.m, c.expected_failure) for c in cases]
+        assert len(keys) == 1036
+        assert sum(c.expected_failure for c in cases) == 15
+        assert _sha256(repr(keys)) == (
+            "3e8c13e609639592051d5ccda9b3a65985ffa8608dee3e8359828c67a4405475"
+        )
+
+    @pytest.mark.parametrize("engine, digest", [
+        ("bareiss", "8cc352ddde82c6da7fb8b62f0fa558acad48f3f6e15e33394cd79b384cc823cf"),
+        ("division", "34cdc81c560715c19ec3408b400cd83a4bf625160786e9a7b295632dcec13034"),
+    ])
+    def test_all_suite_report(self, engine, digest):
+        report = run_suite(SuiteSpec("all", n_max=3, m_max=2, engine=engine))
+        assert _sha256(report_to_json(report, include_timings=False)) == digest
 
 
 class TestReportFormats:
