@@ -218,12 +218,7 @@ def cmd_verify(args) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
         _emit(f"report written to {args.out}")
-        _emit(
-            f"{report.counts['total']} cases: {report.counts['passed']} passed, "
-            f"{report.counts['failed']} failed, "
-            f"{report.counts['expected_failures']} expected failures, "
-            f"{report.counts['anomalies']} anomalies"
-        )
+        _emit(report.summary())
     else:
         _emit(text)
     return 0 if report.ok else 1

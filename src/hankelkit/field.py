@@ -190,6 +190,19 @@ def _mul_int(a, b):
     return tuple(out)
 
 
+def _pow_int(a, e):
+    """a^e for e >= 0 by repeated squaring; the square after the last bit
+    of e is never needed, so it is skipped."""
+    result = (1,)
+    while e:
+        if e & 1:
+            result = _mul_int(result, a)
+        e >>= 1
+        if e:
+            a = _mul_int(a, a)
+    return result
+
+
 def _primitive(coeffs):
     """Return (primitive vector with positive leading entry, signed content)."""
     coeffs = _trim(coeffs)
@@ -583,14 +596,9 @@ class Polynomial:
     def __pow__(self, e: int):
         if e < 0:
             raise ValueError("negative polynomial power")
-        result = P_ONE
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        if e == 0:
+            return P_ONE
+        return Polynomial._make(self.content ** e, _pow_int(self.coeffs, e))
 
     def __floordiv__(self, other):
         """Exact division; raises ValueError when the remainder is nonzero."""
@@ -783,16 +791,9 @@ class FieldElem:
             return F_ONE
         if e < 0:
             return self.reciprocal() ** (-e)
-        num = self.num
-        den = self.den
-        nc = num.coeffs
-        dc = den.coeffs
-        rn, rd = nc, dc
-        for _ in range(e - 1):
-            rn = _mul_int(rn, nc)
-            rd = _mul_int(rd, dc)
+        # num and den are coprime, so are their powers
         return FieldElem._raw(
-            Polynomial._make(num.content ** e, rn), Polynomial._make(Fraction(1), rd)
+            self.num ** e, Polynomial._make(Fraction(1), _pow_int(self.den.coeffs, e))
         )
 
     def specialize(self, point) -> Fraction:
@@ -922,9 +923,9 @@ class _Parser:
 
     Each '(' or unary '-' nests a few Python frames deeper; past
     ``MAX_DEPTH`` levels the parser raises ParseError, well before Python's
-    recursion limit.  A power costs time quadratic in its degree, so the
-    parser also rejects b^e once |e| max(1, degree of b) exceeds
-    ``MAX_POWER_DEGREE``, the degree of b being the larger of its
+    recursion limit.  The cost of a power grows with the degree of its
+    result, so the parser also rejects b^e once |e| max(1, degree of b)
+    exceeds ``MAX_POWER_DEGREE``, the degree of b being the larger of its
     numerator's and denominator's.
     """
 

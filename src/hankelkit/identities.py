@@ -76,20 +76,21 @@ def check_weighted_alt_sum(T: TSeq, n: int, label: str = "") -> IdentityReport:
     return IdentityReport.of("weighted alternating sum", f"n={n}{label}", lhs, rhs)
 
 
+def _binomial_summand(a: FieldElem, n: int, k: int) -> FieldElem:
+    """q^C(k,2) [n k] (1 - q^{2k} a) / (q^k a; q)_{n+1}, the k-th summand of
+    both q-binomial sums before its sign."""
+    den = q_pochhammer(q ** k * a, q, n + 1)
+    if den.is_zero:
+        raise PoleInFormula(f"(q^{k} a; q)_{n + 1} = 0")
+    return q ** comb(k, 2) * q_binomial(n, k) * (F_ONE - q ** (2 * k) * a) / den
+
+
 def check_binomial_alt_sum(a: FieldElem, n: int) -> IdentityReport:
     """sum_k (-1)^k q^C(k,2) [n k] (1 - q^{2k} a) / (q^k a; q)_{n+1} = [n = 0]."""
     a = as_field(a)
     lhs = F_ZERO
     for k in range(n + 1):
-        den = q_pochhammer(q ** k * a, q, n + 1)
-        if den.is_zero:
-            raise PoleInFormula(f"(q^{k} a; q)_{n + 1} = 0")
-        term = (
-            q ** comb(k, 2)
-            * q_binomial(n, k)
-            * (F_ONE - q ** (2 * k) * a)
-            / den
-        )
+        term = _binomial_summand(a, n, k)
         lhs = lhs - term if k % 2 else lhs + term
     rhs = F_ONE if n == 0 else F_ZERO
     return IdentityReport.of("signed q-binomial sum", f"a={a}, n={n}", lhs, rhs)
@@ -100,15 +101,7 @@ def check_binomial_sum(a: FieldElem, n: int) -> IdentityReport:
     a = as_field(a)
     lhs = F_ZERO
     for k in range(n + 1):
-        den = q_pochhammer(q ** k * a, q, n + 1)
-        if den.is_zero:
-            raise PoleInFormula(f"(q^{k} a; q)_{n + 1} = 0")
-        lhs = lhs + (
-            q ** comb(k, 2)
-            * q_binomial(n, k)
-            * (F_ONE - q ** (2 * k) * a)
-            / den
-        )
+        lhs = lhs + _binomial_summand(a, n, k)
     rhs_den = q_pochhammer(q * a, q ** 2, n)
     if rhs_den.is_zero:
         raise PoleInFormula(f"(qa; q^2)_{n} = 0")
@@ -158,9 +151,7 @@ def check_weighted_row_sum(p: QParams, n: int) -> IdentityReport:
 
 def binomial_alt_sum_term(a: FieldElem, n: int, k: int) -> FieldElem:
     """The k-th summand of the signed q-binomial sum (for term-level bridges)."""
-    a = as_field(a)
-    den = q_pochhammer(q ** k * a, q, n + 1)
-    term = q ** comb(k, 2) * q_binomial(n, k) * (F_ONE - q ** (2 * k) * a) / den
+    term = _binomial_summand(as_field(a), n, k)
     return -term if k % 2 else term
 
 

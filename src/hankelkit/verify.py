@@ -12,8 +12,9 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from functools import partial
 from math import comb
 
 from .closed_forms import (
@@ -29,7 +30,14 @@ from .closed_forms import (
 )
 from .errors import InsufficientSamples
 from .field import F_ONE, FieldElem, as_field, q
-from .hankel import det_bareiss, det_division, det_exact, hankel_matrix, jacobi_from_moments
+from .hankel import (
+    SquareMatrix,
+    det_bareiss,
+    det_division,
+    det_exact,
+    hankel_matrix,
+    jacobi_from_moments,
+)
 from .identities import (
     binomial_alt_sum_term,
     check_alt_sum,
@@ -102,6 +110,12 @@ class SuiteReport:
             "anomalies": sum(1 for r in self.records if r.anomaly),
         }
         return self
+
+    def summary(self) -> str:
+        """The one-line count summary that closes the text report."""
+        c = self.counts
+        return (f"{c['total']} cases: {c['passed']} passed, {c['failed']} failed, "
+                f"{c['expected_failures']} expected failures, {c['anomalies']} anomalies")
 
     @property
     def ok(self) -> bool:
@@ -230,62 +244,69 @@ def _bool_case(check, params, n, m, fn):
     return Case(check, params, n, m, run)
 
 
+def _grid(ns, ms, rows):
+    """One case per row at each (n, m), n outermost.
+
+    A row is (case helper, check, params, *fns); each fn takes (n, m) and is
+    bound to the point with functools.partial, so no case sees a later loop
+    value.  Rows of one grid interleave at every point.
+    """
+    return [
+        helper(check, params, n, m, *(partial(fn, n, m) for fn in fns))
+        for n in ns
+        for m in ms
+        for helper, check, params, *fns in rows
+    ]
+
+
+def _at_n(fn, *args):
+    """fn(*args, n) as a function of the grid point (n, m)."""
+    return lambda n, m: fn(*args, n)
+
+
+def _const(value):
+    return lambda n, m: value
+
+
+def _hankel_det(engine, seq, n, m):
+    """The oracle: det of the n x n Hankel matrix of a fresh seq() at shift m."""
+    return det_exact(hankel_matrix(seq(), n, m), engine)
+
+
+def _oracle_det(engine, tag, x, n, m):
+    return det_exact(oracle_matrix(tag, n, m, x), engine)
+
+
+def _rows_of(tri):
+    return [[v.as_rational() for v in row] for row in tri.rows]
+
+
 # ---------------------------------------------------------------------------
 # suite builders
 # ---------------------------------------------------------------------------
 
 
 def _suite_catalan_basics(spec: SuiteSpec):
-    cases = []
-    for n in range(1, max(spec.n_max, 8) + 1):
-        for engine in ("bareiss", "division"):
-            cases.append(
-                _equality_case(
-                    f"catalan det ({engine})",
-                    "seq=catalan",
-                    n,
-                    0,
-                    lambda: as_field(1),
-                    lambda n=n, engine=engine: det_exact(
-                        hankel_matrix(CatalanSeq(), n, 0), engine
-                    ),
-                )
-            )
-    for n in range(1, 6):
-        for m in range(0, 6):
-            cases.append(
-                _equality_case(
-                    "catalan shifted det vs formula",
-                    "seq=catalan",
-                    n,
-                    m,
-                    lambda n=n, m=m: det_exact(
-                        hankel_matrix(CatalanSeq(), n, m), spec.engine
-                    ),
-                    lambda n=n, m=m: closed_form("CatalanShift", n, m),
-                )
-            )
-    cases.append(
-        _equality_case(
-            "spot det[[2,5],[5,14]]",
-            "seq=catalan",
-            2,
-            2,
-            lambda: as_field(3),
-            lambda: det_exact(hankel_matrix(CatalanSeq(), 2, 2), spec.engine),
-        )
+    catalan_det = partial(_hankel_det, spec.engine, CatalanSeq)
+    return (
+        _grid(range(1, max(spec.n_max, 8) + 1), (0,), [
+            (_equality_case, f"catalan det ({engine})", "seq=catalan", _const(as_field(1)),
+             partial(_hankel_det, engine, CatalanSeq))
+            for engine in ("bareiss", "division")
+        ])
+        + _grid(range(1, 6), range(6), [
+            (_equality_case, "catalan shifted det vs formula", "seq=catalan",
+             catalan_det, partial(closed_form, "CatalanShift")),
+        ])
+        + _grid((2,), (2,), [
+            (_equality_case, "spot det[[2,5],[5,14]]", "seq=catalan", _const(as_field(3)),
+             catalan_det),
+        ])
+        + _grid((1,), (3,), [
+            (_equality_case, "spot value C_3", "seq=catalan", _const(as_field(5)),
+             partial(closed_form, "CatalanShift")),
+        ])
     )
-    cases.append(
-        _equality_case(
-            "spot value C_3",
-            "seq=catalan",
-            1,
-            3,
-            lambda: as_field(5),
-            lambda: closed_form("CatalanShift", 1, 3),
-        )
-    )
-    return cases
 
 
 _A053121 = [
@@ -302,105 +323,50 @@ _A039599 = [[1], [1, 1], [2, 3, 1], [5, 9, 5, 1], [14, 28, 20, 7, 1]]
 _A094527 = [[1], [2, 1], [6, 4, 1], [20, 15, 6, 1], [70, 56, 28, 8, 1]]
 
 
+def _catalan_triangle(rows: int):
+    return build_triangle(
+        JacobiParams(lambda k: as_field(1 if k == 0 else 2), lambda k: as_field(1)), rows
+    )
+
+
+def _central_binomial_triangle(rows: int):
+    return build_triangle(
+        JacobiParams(lambda k: as_field(2), lambda k: as_field(2 if k == 0 else 1)), rows
+    )
+
+
 def _suite_tables(spec: SuiteSpec):
-    def rows_of(tri):
-        return [[v.as_rational() for v in row] for row in tri.rows]
-
-    cases = [
-        _bool_case(
-            "ballot table (8 rows)",
-            "T=1, zero-s",
-            7,
-            0,
-            lambda: rows_of(build_zero_s_triangle(TSeq.constant(1), 7)) == _A053121,
-        ),
-        _bool_case(
-            "catalan triangle (5 rows)",
-            "s=1,2,2,...; t=1",
-            4,
-            0,
-            lambda: rows_of(
-                build_triangle(
-                    JacobiParams(lambda k: as_field(1 if k == 0 else 2), lambda k: as_field(1)),
-                    4,
-                )
-            )
-            == _A039599,
-        ),
-        _bool_case(
-            "central binomial triangle (5 rows)",
-            "s=2; t=2,1,1,...",
-            4,
-            0,
-            lambda: rows_of(
-                build_triangle(
-                    JacobiParams(lambda k: as_field(2), lambda k: as_field(2 if k == 0 else 1)),
-                    4,
-                )
-            )
-            == _A094527,
-        ),
-    ]
-    return cases
+    return _grid((7,), (0,), [
+        (_bool_case, "ballot table (8 rows)", "T=1, zero-s",
+         lambda n, m: _rows_of(build_zero_s_triangle(TSeq.constant(1), n)) == _A053121),
+    ]) + _grid((4,), (0,), [
+        (_bool_case, "catalan triangle (5 rows)", "s=1,2,2,...; t=1",
+         lambda n, m: _rows_of(_catalan_triangle(n)) == _A039599),
+        (_bool_case, "central binomial triangle (5 rows)", "s=2; t=2,1,1,...",
+         lambda n, m: _rows_of(_central_binomial_triangle(n)) == _A094527),
+    ])
 
 
-def _residual_15(p: QParams, n: int, k: int) -> FieldElem:
+def _zero_s_residual(p: QParams, row: int, col: int) -> FieldElem:
+    """A(row + 1, col) - A(row, col - 1) - T(col) A(row, col + 1) for the
+    closed-form q-moment triangle: zero when the zero-s recurrence holds."""
     return (
-        qmoment_A(2 * n + 2, 2 * k, p)
-        - qmoment_A(2 * n + 1, 2 * k - 1, p)
-        - qmoment_T(2 * k, p) * qmoment_A(2 * n + 1, 2 * k + 1, p)
+        qmoment_A(row + 1, col, p)
+        - qmoment_A(row, col - 1, p)
+        - qmoment_T(col, p) * qmoment_A(row, col + 1, p)
     )
 
 
-def _residual_16(p: QParams, n: int, k: int) -> FieldElem:
-    return (
-        qmoment_A(2 * n + 1, 2 * k + 1, p)
-        - qmoment_A(2 * n, 2 * k, p)
-        - qmoment_T(2 * k + 1, p) * qmoment_A(2 * n, 2 * k + 2, p)
+def _recurrence_holds(p: QParams, odd: int, bound: int, n: int, m: int) -> bool:
+    """The recurrence into row 2n + 2 - odd holds at every column of its
+    parity up to 2 bound + odd."""
+    return all(
+        _zero_s_residual(p, 2 * n + 1 - odd, 2 * k + odd).is_zero for k in range(bound + 1)
     )
-
-
-def _suite_thm1_grid(spec: SuiteSpec):
-    cases = []
-    bound = spec.n_max
-    for p in (spec.params or thm1_sample_set(spec.seed)):
-        for n in range(bound + 1):
-            cases.append(
-                _bool_case(
-                    "even-row recurrence residual",
-                    str(p),
-                    n,
-                    0,
-                    lambda p=p, n=n: all(
-                        _residual_15(p, n, k).is_zero for k in range(bound + 1)
-                    ),
-                )
-            )
-            cases.append(
-                _bool_case(
-                    "odd-row recurrence residual",
-                    str(p),
-                    n,
-                    0,
-                    lambda p=p, n=n: all(
-                        _residual_16(p, n, k).is_zero for k in range(bound + 1)
-                    ),
-                )
-            )
-        cases.append(
-            _bool_case(
-                "closed A equals recurrence triangle",
-                str(p),
-                bound,
-                0,
-                lambda p=p: _closed_A_matches_triangle(p, bound),
-            )
-        )
-    return cases
 
 
 def _closed_A_matches_triangle(p: QParams, n: int) -> bool:
-    tri = build_zero_s_triangle(TSeq(lambda k: qmoment_T(k, p)), 2 * n)
+    tri = build_zero_s_triangle(TSeq(partial(qmoment_T, p=p)), 2 * n)
     for row in range(2 * n + 1):
         for col in range(row + 1):
             if tri.a(row, col) != qmoment_A(row, col, p):
@@ -408,276 +374,165 @@ def _closed_A_matches_triangle(p: QParams, n: int) -> bool:
     return True
 
 
+def _suite_thm1_grid(spec: SuiteSpec):
+    bound = spec.n_max
+    cases = []
+    for p in (spec.params or thm1_sample_set(spec.seed)):
+        cases += _grid(range(bound + 1), (0,), [
+            (_bool_case, "even-row recurrence residual", str(p),
+             partial(_recurrence_holds, p, 0, bound)),
+            (_bool_case, "odd-row recurrence residual", str(p),
+             partial(_recurrence_holds, p, 1, bound)),
+        ]) + _grid((bound,), (0,), [
+            (_bool_case, "closed A equals recurrence triangle", str(p),
+             _at_n(_closed_A_matches_triangle, p)),
+        ])
+    return cases
+
+
+def _symbolic_det2(p: QParams, n: int, m: int) -> FieldElem:
+    """The q-moment determinant at n = 2, m = 0, written out by hand."""
+    return (F_ONE - p.b) * (F_ONE - p.base) * (p.b - p.a) / (
+        (F_ONE - p.a) ** 2 * (F_ONE - p.base * p.a)
+    )
+
+
 def _suite_thm2_grid(spec: SuiteSpec):
     cases = []
     for p in (spec.params or thm2_sample_set(spec.seed)):
-        cases.append(
-            _equality_case(
-                "symbolic 2x2 determinant",
-                str(p),
-                2,
-                0,
-                lambda p=p: (F_ONE - p.b)
-                * (F_ONE - p.base)
-                * (p.b - p.a)
-                / ((F_ONE - p.a) ** 2 * (F_ONE - p.base * p.a)),
-                lambda p=p: qmoment_det(2, 0, p),
-            )
-        )
-        for n in range(1, spec.n_max + 1):
-            for m in range(0, spec.m_max + 1):
-                cases.append(
-                    _equality_case(
-                        "determinant formula vs oracle",
-                        str(p),
-                        n,
-                        m,
-                        lambda p=p, n=n, m=m: det_exact(
-                            hankel_matrix(PochRatioSeq(p.a, p.b, p.base), n, m),
-                            spec.engine,
-                        ),
-                        lambda p=p, n=n, m=m: qmoment_det(n, m, p),
-                    )
-                )
+        cases += _grid((2,), (0,), [
+            (_equality_case, "symbolic 2x2 determinant", str(p),
+             partial(_symbolic_det2, p), partial(qmoment_det, p=p)),
+        ]) + _grid(range(1, spec.n_max + 1), range(spec.m_max + 1), [
+            (_equality_case, "determinant formula vs oracle", str(p),
+             partial(_hankel_det, spec.engine, partial(PochRatioSeq, p.a, p.b, p.base)),
+             partial(qmoment_det, p=p)),
+        ])
     return cases
+
+
+def _classical_oracle(engine, a, b, c, n, m):
+    return _hankel_det(engine, partial(RisingRatioSeq, a, b, c), n, m).as_rational()
 
 
 def _suite_classical_grid(spec: SuiteSpec):
     cases = []
-    triples = [(4, 1, 2), (3, 1, 1), (5, 2, 3)]
-    for a, b, c in triples:
-        for n in range(1, spec.n_max + 1):
-            for m in range(0, spec.m_max + 1):
-                cases.append(
-                    _equality_case(
-                        "classical determinant vs oracle",
-                        f"(a={a}, b={b}, c={c})",
-                        n,
-                        m,
-                        lambda a=a, b=b, c=c, n=n, m=m: det_exact(
-                            hankel_matrix(RisingRatioSeq(a, b, c), n, m), spec.engine
-                        ).as_rational(),
-                        lambda a=a, b=b, c=c, n=n, m=m: classical_det(n, m, a, b, c),
-                    )
-                )
-    for n in range(1, 7):
-        cases.append(
-            _equality_case(
-                "catalan-scaled det is the t-product",
-                "(a=4, b=1, c=2)",
-                n,
-                0,
-                lambda n=n: Fraction(1, 16) ** comb(n, 2),
-                lambda n=n: classical_det(n, 0, 4, 1, 2),
-            )
-        )
-    return cases
+    for a, b, c in [(4, 1, 2), (3, 1, 1), (5, 2, 3)]:
+        cases += _grid(range(1, spec.n_max + 1), range(spec.m_max + 1), [
+            (_equality_case, "classical determinant vs oracle", f"(a={a}, b={b}, c={c})",
+             partial(_classical_oracle, spec.engine, a, b, c),
+             partial(classical_det, a=a, b=b, c=c)),
+        ])
+    return cases + _grid(range(1, 7), (0,), [
+        (_equality_case, "catalan-scaled det is the t-product", "(a=4, b=1, c=2)",
+         lambda n, m: Fraction(1, 16) ** comb(n, 2), partial(classical_det, a=4, b=1, c=2)),
+    ])
 
 
 _X_SAMPLES = (Fraction(2), Fraction(3), Fraction(5, 2))
 
 
+def _odd_even_relation(engine, n, m):
+    return _oracle_det(engine, "OddBinomialRel", None, n, m) == as_field(
+        Fraction(1, 2 ** n)
+    ) * _oracle_det(engine, "CentralBinomial", None, n, m + 1)
+
+
 def _suite_registry_grid(spec: SuiteSpec):
+    ns, ms = range(1, spec.n_max + 1), range(spec.m_max + 1)
     cases = []
     for tag in sorted(FORMULAS):
         formula = FORMULAS[tag]
         if formula.as_printed_mismatch:
             continue
-        xs = _X_SAMPLES if formula.needs_x else (None,)
-        for x in xs:
-            params = f"x={x}" if x is not None else ""
-            for n in range(1, spec.n_max + 1):
-                for m in range(0, spec.m_max + 1):
-                    if formula.shift_domain == "zero" and m:
-                        continue
-                    cases.append(
-                        _equality_case(
-                            f"{tag} vs oracle",
-                            params,
-                            n,
-                            m,
-                            lambda tag=tag, n=n, m=m, x=x: det_exact(
-                                oracle_matrix(tag, n, m, x), spec.engine
-                            ),
-                            lambda tag=tag, n=n, m=m, x=x: closed_form(tag, n, m, x),
-                        )
-                    )
-    for n in range(1, spec.n_max + 1):
-        for m in range(0, spec.m_max + 1):
-            cases.append(
-                _bool_case(
-                    "odd/even binomial determinant relation",
-                    "",
-                    n,
-                    m,
-                    lambda n=n, m=m: det_exact(oracle_matrix("OddBinomialRel", n, m), spec.engine)
-                    == as_field(Fraction(1, 2 ** n))
-                    * det_exact(oracle_matrix("CentralBinomial", n, m + 1), spec.engine),
-                )
-            )
-            cases.append(
-                _equality_case(
-                    "CBqm final form equals expanded form",
-                    "",
-                    n,
-                    m,
-                    lambda n=n, m=m: cbqm_expanded(n, m),
-                    lambda n=n, m=m: closed_form("CBqm", n, m),
-                )
-            )
-    spots = [
-        ("QFactorial spot", lambda: closed_form("QFactorial", 2, 0), lambda: q),
-        ("BracketFalling spot", lambda: closed_form("BracketFalling", 2, 0, 2), lambda: as_field(-2)),
-        ("Carlitz spot", lambda: closed_form("Carlitz", 2, 1), lambda: -q),
-        ("CentralBinomial spot", lambda: closed_form("CentralBinomial", 3, 0), lambda: as_field(4)),
-    ]
-    for name, actual, expect in spots:
-        cases.append(_equality_case(name, "", 0, 0, expect, actual))
-    return cases
+        for x in _X_SAMPLES if formula.needs_x else (None,):
+            cases += _grid(ns, (0,) if formula.shift_domain == "zero" else ms, [
+                (_equality_case, f"{tag} vs oracle", f"x={x}" if x is not None else "",
+                 partial(_oracle_det, spec.engine, tag, x), partial(closed_form, tag, x=x)),
+            ])
+    return cases + _grid(ns, ms, [
+        (_bool_case, "odd/even binomial determinant relation", "",
+         partial(_odd_even_relation, spec.engine)),
+        (_equality_case, "CBqm final form equals expanded form", "",
+         cbqm_expanded, partial(closed_form, "CBqm")),
+    ]) + _grid((0,), (0,), [
+        (_equality_case, "QFactorial spot", "",
+         _const(q), lambda n, m: closed_form("QFactorial", 2, 0)),
+        (_equality_case, "BracketFalling spot", "",
+         _const(as_field(-2)), lambda n, m: closed_form("BracketFalling", 2, 0, 2)),
+        (_equality_case, "Carlitz spot", "",
+         _const(-q), lambda n, m: closed_form("Carlitz", 2, 1)),
+        (_equality_case, "CentralBinomial spot", "",
+         _const(as_field(4)), lambda n, m: closed_form("CentralBinomial", 3, 0)),
+    ])
 
 
 def _suite_eq36(spec: SuiteSpec):
-    cases = []
-    for n in range(1, spec.n_max + 1):
-        for m in range(1, spec.m_max + 1):
-            cases.append(
-                _equality_case(
-                    "reciprocal-bracket formula as printed",
-                    "",
-                    n,
-                    m,
-                    lambda n=n, m=m: det_exact(oracle_matrix("RecipBracket", n, m), spec.engine),
-                    lambda n=n, m=m: closed_form("RecipBracket", n, m),
-                    xfail=True,
-                )
-            )
-            cases.append(
-                _equality_case(
-                    "oracle matches the q-Hilbert formula at (n, m-1)",
-                    "",
-                    n,
-                    m,
-                    lambda n=n, m=m: det_exact(oracle_matrix("RecipBracket", n, m), spec.engine),
-                    lambda n=n, m=m: closed_form("QHilbert", n, m - 1),
-                )
-            )
-    cases.append(
-        _bool_case(
-            "spot (1,1): printed formula 0, oracle 1",
-            "",
-            1,
-            1,
-            lambda: closed_form("RecipBracket", 1, 1).is_zero
-            and det_exact(oracle_matrix("RecipBracket", 1, 1), spec.engine) == as_field(1),
-        )
-    )
-    return cases
-
-
-def _catalan_triangle(rows: int):
-    return build_triangle(
-        JacobiParams(lambda k: as_field(1 if k == 0 else 2), lambda k: as_field(1)), rows
-    )
+    oracle = partial(_oracle_det, spec.engine, "RecipBracket", None)
+    return _grid(range(1, spec.n_max + 1), range(1, spec.m_max + 1), [
+        (partial(_equality_case, xfail=True), "reciprocal-bracket formula as printed", "",
+         oracle, partial(closed_form, "RecipBracket")),
+        (_equality_case, "oracle matches the q-Hilbert formula at (n, m-1)", "",
+         oracle, lambda n, m: closed_form("QHilbert", n, m - 1)),
+    ]) + _grid((1,), (1,), [
+        (_bool_case, "spot (1,1): printed formula 0, oracle 1", "",
+         lambda n, m: closed_form("RecipBracket", n, m).is_zero
+         and oracle(n, m) == as_field(1)),
+    ])
 
 
 def _suite_identity_sums(spec: SuiteSpec):
-    cases = []
     tri = _catalan_triangle(8)
-    for n in range(9):
-        cases.append(
-            _report_case("alternating row sum", "catalan triangle", n, 0,
-                         lambda n=n: check_alt_sum(tri, n))
-        )
-        cases.append(
-            _report_case("row sum = C(2n, n)", "catalan triangle", n, 0,
-                         lambda n=n: check_row_sum(tri, n))
-        )
-        cases.append(
-            _report_case("weighted alternating sum", "T=1", n, 0,
-                         lambda n=n: check_weighted_alt_sum(TSeq.constant(1), n))
-        )
-    bound = spec.n_max
-    for p in (QParams(q ** 4, q, q ** 2), QParams(q ** 2, q, q ** 2)):
-        T = TSeq(lambda k, p=p: qmoment_T(k, p))
-        for n in range(bound + 1):
-            cases.append(
-                _report_case("weighted alternating sum", str(p), n, 0,
-                             lambda T=T, n=n: check_weighted_alt_sum(T, n))
-            )
-    a_samples = (q ** 3, as_field(Fraction(2, 3)), as_field(Fraction(1, 2)), as_field(3))
-    for a in a_samples:
-        for n in range(bound + 1):
-            cases.append(
-                _report_case("signed q-binomial sum", f"a={a}", n, 0,
-                             lambda a=a, n=n: check_binomial_alt_sum(a, n))
-            )
-            cases.append(
-                _report_case("q-binomial sum", f"a={a}", n, 0,
-                             lambda a=a, n=n: check_binomial_sum(a, n))
-            )
-    for p in (
-        QParams(q ** 4, q, q ** 2),
-        QParams(q ** 2, q, q ** 2),
-        QParams(q ** 2, q ** 3, q),
-        QParams(q, q ** 4, q),
-    ):
-        for n in range(bound + 1):
-            cases.append(
-                _report_case("weighted row sum", str(p), n, 0,
-                             lambda p=p, n=n: check_weighted_row_sum(p, n))
-            )
+    cases = _grid(range(9), (0,), [
+        (_report_case, "alternating row sum", "catalan triangle", _at_n(check_alt_sum, tri)),
+        (_report_case, "row sum = C(2n, n)", "catalan triangle", _at_n(check_row_sum, tri)),
+        (_report_case, "weighted alternating sum", "T=1",
+         _at_n(check_weighted_alt_sum, TSeq.constant(1))),
+    ])
+    ns = range(spec.n_max + 1)
+    named = (QParams(q ** 4, q, q ** 2), QParams(q ** 2, q, q ** 2))
+    for p in named:
+        cases += _grid(ns, (0,), [
+            (_report_case, "weighted alternating sum", str(p),
+             _at_n(check_weighted_alt_sum, TSeq(partial(qmoment_T, p=p)))),
+        ])
+    for a in (q ** 3, as_field(Fraction(2, 3)), as_field(Fraction(1, 2)), as_field(3)):
+        cases += _grid(ns, (0,), [
+            (_report_case, "signed q-binomial sum", f"a={a}", _at_n(check_binomial_alt_sum, a)),
+            (_report_case, "q-binomial sum", f"a={a}", _at_n(check_binomial_sum, a)),
+        ])
+    for p in named + (QParams(q ** 2, q ** 3, q), QParams(q, q ** 4, q)):
+        cases += _grid(ns, (0,), [
+            (_report_case, "weighted row sum", str(p), _at_n(check_weighted_row_sum, p)),
+        ])
     # the symbolic n = 1 term shapes of the two binomial sums
     a = q ** 3
-    cases.append(
-        _bool_case(
-            "signed sum n=1 reduces to 1/(1-qa) - 1/(1-qa)",
-            "a=q^3",
-            1,
-            0,
-            lambda: binomial_alt_sum_term(a, 1, 0) == 1 / (F_ONE - q * a)
-            and binomial_alt_sum_term(a, 1, 1) == -(1 / (F_ONE - q * a)),
-        )
-    )
-    cases.append(
-        _bool_case(
-            "companion sum n=1 gives 2/(1-qa)",
-            "a=q^3",
-            1,
-            0,
-            lambda: check_binomial_sum(a, 1).rhs == 2 / (F_ONE - q * a),
-        )
-    )
-    return cases
+    return cases + _grid((1,), (0,), [
+        (_bool_case, "signed sum n=1 reduces to 1/(1-qa) - 1/(1-qa)", "a=q^3",
+         lambda n, m: binomial_alt_sum_term(a, 1, 0) == 1 / (F_ONE - q * a)
+         and binomial_alt_sum_term(a, 1, 1) == -(1 / (F_ONE - q * a))),
+        (_bool_case, "companion sum n=1 gives 2/(1-qa)", "a=q^3",
+         lambda n, m: check_binomial_sum(a, 1).rhs == 2 / (F_ONE - q * a)),
+    ])
+
+
+def _at_q_1(tag, n, m):
+    """The tag's determinant at q = 1, rescaled by 4^(n(n-1) + nm)."""
+    return Fraction(4) ** (n * (n - 1) + n * m) * closed_form(tag, n, m).specialize(1)
 
 
 def _suite_q_to_1(spec: SuiteSpec):
-    cases = []
-    for n in range(1, spec.n_max + 1):
-        for m in range(0, spec.m_max + 1):
-            scale = Fraction(4) ** (n * (n - 1) + n * m)
-            cases.append(
-                _equality_case(
-                    "q-Catalan determinant at q=1 rescales to the Catalan formula",
-                    "(a=q^4, b=q, base=q^2)",
-                    n,
-                    m,
-                    lambda n=n, m=m: closed_form("CatalanShift", n, m).as_rational(),
-                    lambda n=n, m=m, scale=scale: scale
-                    * closed_form("Andrewsm", n, m).specialize(1),
-                )
-            )
-            cases.append(
-                _equality_case(
-                    "q-central-binomial determinant at q=1 rescales to the classical formula",
-                    "(a=q^2, b=q, base=q^2)",
-                    n,
-                    m,
-                    lambda n=n, m=m: closed_form("CentralBinomial", n, m).as_rational(),
-                    lambda n=n, m=m, scale=scale: scale
-                    * closed_form("CBqm", n, m).specialize(1),
-                )
-            )
-    return cases
+    return _grid(range(1, spec.n_max + 1), range(spec.m_max + 1), [
+        (_equality_case, "q-Catalan determinant at q=1 rescales to the Catalan formula",
+         "(a=q^4, b=q, base=q^2)",
+         lambda n, m: closed_form("CatalanShift", n, m).as_rational(),
+         partial(_at_q_1, "Andrewsm")),
+        (_equality_case,
+         "q-central-binomial determinant at q=1 rescales to the classical formula",
+         "(a=q^2, b=q, base=q^2)",
+         lambda n, m: closed_form("CentralBinomial", n, m).as_rational(),
+         partial(_at_q_1, "CBqm")),
+    ])
 
 
 def _random_rational(rng):
@@ -686,10 +541,29 @@ def _random_rational(rng):
     return Fraction(num, den)
 
 
+def _round_trip(s_vals, t_vals, depth, m):
+    """(s, t) -> moments -> (s, t) at the given depth."""
+    jp = JacobiParams([as_field(v) for v in s_vals], [as_field(v) for v in t_vals])
+    moments = build_triangle(jp, 2 * depth - 2).column0(2 * depth - 1)
+    rec = jacobi_from_moments(ExplicitSeq(moments), depth)
+    rebuilt = build_triangle(rec, depth - 1).column0(depth)
+    ok = rebuilt == moments[:depth]
+    ok = ok and rec.s_list(depth - 1) == [as_field(v) for v in s_vals[: depth - 1]]
+    ok = ok and rec.t_list(depth - 1) == [as_field(v) for v in t_vals[: depth - 1]]
+    return "round trip", "round trip" if ok else "mismatch", ok
+
+
+def _recovered(seq, s, t, n, m):
+    """jacobi_from_moments(seq(), n) gives the first n - 1 of s and t."""
+    rec = jacobi_from_moments(seq(), n)
+    return ([v.as_rational() for v in rec.s_list(n - 1)] == s
+            and [v.as_rational() for v in rec.t_list(n - 1)] == t)
+
+
 def _suite_jacobi_roundtrip(spec: SuiteSpec):
-    cases = []
     rng = random.Random(spec.seed)
     depth = 8
+    rows = []
     for idx in range(20):
         s_vals = [_random_rational(rng) for _ in range(2 * depth)]
         t_vals = []
@@ -697,43 +571,19 @@ def _suite_jacobi_roundtrip(spec: SuiteSpec):
             v = _random_rational(rng)
             if v != 0:
                 t_vals.append(v)
+        rows.append((Case, "moment/parameter round trip", f"sample {idx}",
+                     partial(_round_trip, s_vals, t_vals)))
+    return _grid((depth,), (0,), rows) + _grid((5,), (0,), [
+        (_bool_case, "catalan parameters recovered", "seq=catalan",
+         partial(_recovered, CatalanSeq, [1, 2, 2, 2], [1, 1, 1, 1])),
+        (_bool_case, "central binomial parameters recovered", "seq=central-binomial",
+         partial(_recovered, CentralBinomialSeq, [2, 2, 2, 2], [2, 1, 1, 1])),
+    ])
 
-        def run(s_vals=s_vals, t_vals=t_vals):
-            jp = JacobiParams([as_field(v) for v in s_vals], [as_field(v) for v in t_vals])
-            moments = build_triangle(jp, 2 * depth - 2).column0(2 * depth - 1)
-            rec = jacobi_from_moments(ExplicitSeq(moments), depth)
-            rebuilt = build_triangle(rec, depth - 1).column0(depth)
-            ok = rebuilt == moments[:depth]
-            ok = ok and rec.s_list(depth - 1) == [as_field(v) for v in s_vals[: depth - 1]]
-            ok = ok and rec.t_list(depth - 1) == [as_field(v) for v in t_vals[: depth - 1]]
-            return "round trip", "round trip" if ok else "mismatch", ok
 
-        cases.append(Case("moment/parameter round trip", f"sample {idx}", depth, 0, run))
-    cases.append(
-        _bool_case(
-            "catalan parameters recovered",
-            "seq=catalan",
-            5,
-            0,
-            lambda: [v.as_rational() for v in jacobi_from_moments(CatalanSeq(), 5).s_list(4)]
-            == [1, 2, 2, 2]
-            and [v.as_rational() for v in jacobi_from_moments(CatalanSeq(), 5).t_list(4)]
-            == [1, 1, 1, 1],
-        )
-    )
-    cases.append(
-        _bool_case(
-            "central binomial parameters recovered",
-            "seq=central-binomial",
-            5,
-            0,
-            lambda: [v.as_rational() for v in jacobi_from_moments(CentralBinomialSeq(), 5).s_list(4)]
-            == [2, 2, 2, 2]
-            and [v.as_rational() for v in jacobi_from_moments(CentralBinomialSeq(), 5).t_list(4)]
-            == [2, 1, 1, 1],
-        )
-    )
-    return cases
+def _random_rational_matrix(rng, n):
+    return [[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)]
+            for _ in range(n)]
 
 
 def _random_q_matrix(rng, n):
@@ -748,36 +598,21 @@ def _random_q_matrix(rng, n):
     return rows
 
 
+def _engines_agree(entries):
+    M = SquareMatrix(entries)
+    lhs = det_division(M)
+    rhs = det_bareiss(M)
+    return str(lhs), str(rhs), lhs == rhs
+
+
 def _suite_engine_agreement(spec: SuiteSpec):
-    from .hankel import SquareMatrix
-
-    cases = []
     rng = random.Random(spec.seed)
-    for idx in range(25):
-        n = idx % 5 + 1
-        entries = [
-            [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)]
-            for _ in range(n)
-        ]
-
-        def run(entries=entries):
-            M = SquareMatrix(entries)
-            lhs = det_division(M)
-            rhs = det_bareiss(M)
-            return str(lhs), str(rhs), lhs == rhs
-
-        cases.append(Case("engine agreement over Q", f"sample {idx}", n, 0, run))
-    for idx in range(25):
-        n = idx % 5 + 1
-        entries = _random_q_matrix(rng, n)
-
-        def run(entries=entries):
-            M = SquareMatrix(entries)
-            lhs = det_division(M)
-            rhs = det_bareiss(M)
-            return str(lhs), str(rhs), lhs == rhs
-
-        cases.append(Case("engine agreement over Q(q)", f"sample {idx}", n, 0, run))
+    cases = []
+    for field_name, sampler in (("Q", _random_rational_matrix), ("Q(q)", _random_q_matrix)):
+        for idx in range(25):
+            n = idx % 5 + 1
+            cases.append(Case(f"engine agreement over {field_name}", f"sample {idx}", n, 0,
+                              partial(_engines_agree, sampler(rng, n))))
     return cases
 
 
@@ -862,27 +697,21 @@ def run_suite(spec: SuiteSpec) -> SuiteReport:
 # ---------------------------------------------------------------------------
 
 
+def _record_dicts(report: SuiteReport, include_timings: bool):
+    names = [f.name for f in fields(CaseRecord)]
+    for r in report.records:
+        row = {name: getattr(r, name) for name in names}
+        if not include_timings:
+            row["wall_ms"] = 0.0
+        yield row
+
+
 def report_to_json(report: SuiteReport, include_timings: bool = True) -> str:
     payload = {
         "suite": report.suite,
         "spec": report.spec,
         "summary": report.counts,
-        "records": [
-            {
-                "check": r.check,
-                "params": r.params,
-                "n": r.n,
-                "m": r.m,
-                "expected": r.expected,
-                "actual": r.actual,
-                "holds": r.holds,
-                "expected_failure": r.expected_failure,
-                "anomaly": r.anomaly,
-                "wall_ms": r.wall_ms if include_timings else 0.0,
-                "error": r.error,
-            }
-            for r in report.records
-        ],
+        "records": list(_record_dicts(report, include_timings)),
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -893,15 +722,8 @@ def report_to_csv(report: SuiteReport, include_timings: bool = True) -> str:
 
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(
-        ["check", "params", "n", "m", "expected", "actual", "holds",
-         "expected_failure", "anomaly", "wall_ms", "error"]
-    )
-    for r in report.records:
-        writer.writerow(
-            [r.check, r.params, r.n, r.m, r.expected, r.actual, r.holds,
-             r.expected_failure, r.anomaly, r.wall_ms if include_timings else 0.0, r.error]
-        )
+    writer.writerow(f.name for f in fields(CaseRecord))
+    writer.writerows(row.values() for row in _record_dicts(report, include_timings))
     return buf.getvalue()
 
 
@@ -921,9 +743,5 @@ def report_to_text(report: SuiteReport) -> str:
         params = f" {r.params}" if r.params else ""
         extra = f"  [{r.error}]" if r.error else ""
         lines.append(f"[{mark:5s}] {r.check}{params} {loc} ({r.wall_ms:.1f} ms){extra}")
-    c = report.counts
-    lines.append(
-        f"{c['total']} cases: {c['passed']} passed, {c['failed']} failed, "
-        f"{c['expected_failures']} expected failures, {c['anomalies']} anomalies"
-    )
+    lines.append(report.summary())
     return "\n".join(lines) + "\n"
