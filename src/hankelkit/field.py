@@ -596,8 +596,6 @@ class Polynomial:
     def __pow__(self, e: int):
         if e < 0:
             raise ValueError("negative polynomial power")
-        if e == 0:
-            return P_ONE
         return Polynomial._make(self.content ** e, _pow_int(self.coeffs, e))
 
     def __floordiv__(self, other):
