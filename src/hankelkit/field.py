@@ -41,42 +41,32 @@ to 30 bits; at 200 bits it needs 64, and between 32 and 64 it loses up to
 1.5x to the loop.  The q-moment determinants have small coefficients, hence
 ``_DIV_PACK_MIN`` = 32.
 
-Gcds of more than 40 coefficients are taken from images in GF(p), lifted by
-the Chinese remainder theorem and certified by trial division.  Every p in
-``_GCD_PRIMES`` is a Mersenne prime 2^k - 1, and the Euclid over GF(p) is
-packed: a residue vector is one int with w-bit slots, w = 2k + 3 +
-bit_length(len f) rounded up to whole bytes.  A quotient coefficient c costs
-one big-int step, A += c * NB << shift, where NB holds 2p - b_i in every
-slot; NB is nonnegative in every slot, so no borrow crosses one.  Between
-remainders every slot is below 2p, and one remainder adds at most len f
-terms below 2p^2 to a slot, which w bits hold.  Since 2^k = 1 modulo p, a
-fold (A & low) + ((A >> k) & high), with masks of the k low and the w - k
-high bits of every slot, keeps every residue without a division; two folds
-bring every slot back below 2p.  For a prime not of the form 2^k - 1 the
-fold would be wrong.  Only the final gcd is unpacked.  A long f and a short
-g need no special step: a degree gap of d costs d big-int steps.  Together
-the primes lift gcd coefficients of about 900 bits; past that, or for
-unlucky primes, the subresultant sequence is the last resort.
+Gcds are heuristic (GCDHEU: Char, Geddes and Gonnet, JSC 1989) and
+certified.  For primitive f = h u and g = h v with h their gcd, the integer
+gcd of f(2^w) and g(2^w) is h(2^w) k with k = gcd(u(2^w), v(2^w)); its
+signed base-2^w digits are read back by ``_unpack``.  If 2^w > 2 min(|f|,
+|g|) + 2 (max norms) and the primitive part of those digits divides both f
+and g, it is the gcd (Geddes, Czapor and Labahn, Algorithms for Computer
+Algebra, 1992, 7.7); the two exact divisions are the certificate, and their
+quotients are the cofactors.  The slot width w = 8 ceil((min(bits f, bits
+g) + 3) / 8) meets that bound, and w doubles whenever the certificate
+fails.  The loop ends: k divides the resultant res(u, v), which is nonzero
+and does not depend on w, so once 2^w > 2 |res(u, v)| |h| the digits are
+exactly k h.  Replaying the 147 983 gcd calls of one ``verify all`` and one
+n = 10 determinant per engine, 24 065 packed their inputs (the rest had a
+constant input); 903 of those needed more than one slot width, and none
+more than four.
 
-Gcds of at most 40 coefficients take the subresultant sequence.  Replaying
-the 152 299 gcd calls of one repetition of each benchmark workload (Python
-3.11, one core), the subresultant sequence took 0.7-0.85x the modular
-path's time up to 28 coefficients, the two tied (0.97-1.04x) from 29 to 40
-on the verify suite's gcds, and past 40 the modular path won by 1.1-2x, and
-by far more wherever the subresultant coefficients swell.  Any cut-off from
-28 to 40 moves the replayed total by under 1 %.
-
-The gcd returns its cofactors, (h, f/h, g/h): the modular path's
-certificate has already divided f and g by h, and the subresultant path
-divides once, so no caller divides by a gcd it has just computed.  Addition
-is Henrici's (JACM 1956; Knuth, TAOCP vol. 2, 4.5.1): for reduced a/b and
-c/d with g = gcd(b, d), b = b' g and d = d' g, the sum is
-(a d' + c b') / (b' d), and its numerator is coprime to b' d', so it is
-reduced against g alone, and not at all when g = 1.  In one repetition of
-the benchmark's ``roundtrip-verify`` workload (Python 3.11, one core) the
-two cut the exact divisions from 43 364 to 27 584 and the time inside
-FieldElem additions from 2.83 to 2.02 s; the median repetition over ten
-runs went from 6.59 to 5.58 s.
+The gcd returns the cofactors its certificate computed, (h, f/h, g/h), so
+no caller divides by a gcd it has just computed.  Addition is Henrici's
+(JACM 1956; Knuth, TAOCP vol. 2, 4.5.1): for reduced a/b and c/d with
+g = gcd(b, d), b = b' g and d = d' g, the sum is (a d' + c b') / (b' d),
+and its numerator is coprime to b' d', so it is reduced against g alone,
+and not at all when g = 1.  In one repetition of the benchmark's
+``roundtrip-verify`` workload (Python 3.11, one core) the two cut the exact
+divisions from 43 364 to 27 584 and the time inside FieldElem additions
+from 2.83 to 2.02 s; the median repetition over ten runs went from 6.59 to
+5.58 s.
 """
 
 from __future__ import annotations
@@ -301,182 +291,27 @@ def _try_div_exact(f, g):
     return tuple(quot)
 
 
-def _prem(f, g):
-    """Pseudo-remainder lc(g)^(deg f - deg g + 1) * f mod g, over Z."""
-    dg = len(g) - 1
-    lg = g[-1]
-    steps = len(f) - len(g) + 1
-    done = 0
-    r = list(f)
-    while True:
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) - 1 < dg or not r:
-            break
-        lr = r[-1]
-        off = len(r) - 1 - dg
-        r = [lg * c for c in r]
-        for i in range(dg + 1):
-            r[off + i] -= lr * g[i]
-        done += 1
-    if r and done < steps:
-        m = lg ** (steps - done)
-        r = [c * m for c in r]
-    return _trim(r)
-
-
-def _subresultant_gcd(f, g):
-    """Primitive gcd of primitive vectors via the subresultant remainder sequence."""
-    if len(f) < len(g):
-        f, g = g, f
-    a, b = f, g
-    gg = 1
-    h = 1
-    while True:
-        delta = len(a) - len(b)
-        r = _prem(a, b)
-        if not r:
-            prim, _ = _primitive(b)
-            return prim
-        if len(r) == 1:
-            return (1,)
-        divisor = gg * h ** delta
-        nxt = []
-        for c in r:
-            cq, cr = divmod(c, divisor)
-            if cr:
-                raise AssertionError("inexact division in subresultant sequence")
-            nxt.append(cq)
-        a, b = b, tuple(nxt)
-        gg = a[-1]
-        if delta > 0:
-            h = gg ** delta // h ** (delta - 1)
-
-
-# Mersenne primes 2^k - 1, k = 61, 89, 107, 127, 521, for the modular gcd;
-# the packed Euclid's fold needs 2^k = 1 modulo p.
-_GCD_PRIMES = (
-    2305843009213693951,
-    618970019642690137449562111,
-    162259276829213363391578010288127,
-    170141183460469231731687303715884105727,
-    (1 << 521) - 1,
-)
-
-
-def _strip_mod(a, d, w, p):
-    """The packed vector a of degree at most d with its top slots that are
-    0 modulo p removed, and its degree (-1 when it is zero)."""
-    while d >= 0:
-        top = a >> (w * d)
-        if top % p:
-            break
-        a -= top << (w * d)
-        d -= 1
-    return a, d
-
-
-def _gcd_mod(f, g, p):
-    """Monic gcd of the images of f, g in GF(p)[q] (residue list), p = 2^k - 1.
-
-    Both vectors are packed in w-bit slots, every slot below 2p between
-    remainders (see the module docstring)."""
-    k = p.bit_length()
-    n = max(len(f), len(g))
-    nbytes = (2 * k + 3 + n.bit_length() + 7) // 8
-    w = 8 * nbytes
-    ones = int.from_bytes((b"\x01" + bytes(nbytes - 1)) * n, "little")
-    low = ones * p
-    high = ones * ((1 << (w - k)) - 1)
-    twop = ones * (2 * p)
-    slot = (1 << w) - 1
-    a, da = _strip_mod(_pack([c % p for c in f], w), len(f) - 1, w, p)
-    b, db = _strip_mod(_pack([c % p for c in g], w), len(g) - 1, w, p)
-    if da < db:
-        a, da, b, db = b, db, a, da
-    while db > 0:
-        lead = b >> (w * db)
-        inv = pow(lead, -1, p)
-        # 2p - b_i in each of the db low slots: adding multiples of it
-        # subtracts multiples of b without a borrow crossing a slot
-        neg_b = (twop >> (w * (n - db))) - (b - (lead << (w * db)))
-        for pos in range(da, db - 1, -1):
-            c = ((a >> (w * pos)) & slot) * inv % p
-            if c:
-                a += c * neg_b << (w * (pos - db))
-        # drop the quotient's slots, then fold every slot below 2p
-        a &= (1 << (w * db)) - 1
-        a = (a & low) + ((a >> k) & high)
-        a = (a & low) + ((a >> k) & high)
-        a, da = _strip_mod(a, db - 1, w, p)
-        a, da, b, db = b, db, a, da
-    if db == 0:
-        return [1]
-    data = a.to_bytes(nbytes * (da + 1), "little")
-    coeffs = [int.from_bytes(data[i:i + nbytes], "little") % p for i in range(0, len(data), nbytes)]
-    inv = pow(coeffs[-1], -1, p)
-    return [c * inv % p for c in coeffs]
-
-
-def _modular_gcd(f, g):
-    """(h, f/h, g/h) with h the primitive gcd, via GF(p) images, certified
-    by trial division; the certificate's quotients are the cofactors."""
-    gamma = math.gcd(f[-1], g[-1])
-    best = None
-    combined = None
-    modulus = 0
-    for p in _GCD_PRIMES:
-        if f[-1] % p == 0 or g[-1] % p == 0:
-            continue
-        img = _gcd_mod(f, g, p)
-        deg = len(img) - 1
-        if deg == 0:
-            return (1,), f, g
-        scaled = [gamma * c % p for c in img]
-        if best is None or deg < best:
-            best = deg
-            combined = scaled
-            modulus = p
-        elif deg == best:
-            inv = pow(modulus, -1, p)
-            combined = [
-                a + modulus * ((b - a) % p * inv % p)
-                for a, b in zip(combined, scaled)
-            ]
-            modulus *= p
-        else:
-            continue
-        half = modulus // 2
-        lifted = [c - modulus if c > half else c for c in combined]
-        cand, _ = _primitive(lifted)
-        if not cand:
-            continue
-        f_cof = _try_div_exact(f, cand)
-        g_cof = None if f_cof is None else _try_div_exact(g, cand)
-        if g_cof is not None:
-            return cand, f_cof, g_cof
-    return _divide_out(_subresultant_gcd(f, g), f, g)
-
-
-def _divide_out(h, f, g):
-    """(h, f/h, g/h) for a common divisor h of f and g."""
-    if h == (1,):
-        return h, f, g
-    return h, _try_div_exact(f, h), _try_div_exact(g, h)
-
-
 def _gcd_cofactors(f, g):
     """(h, f/h, g/h): h is the primitive gcd (positive leading entry) of the
-    nonzero primitive vectors f, g; a trivial gcd returns f and g unchanged."""
-    if len(f) < len(g):
-        h, g_cof, f_cof = _gcd_cofactors(g, f)
-        return h, f_cof, g_cof
-    if len(g) == 1:
+    nonzero primitive vectors f, g; a trivial gcd returns f and g unchanged.
+    Heuristic gcd at 2^w, certified by exact division (module docstring)."""
+    if len(f) == 1 or len(g) == 1:
         return (1,), f, g
-    # the crossover with the modular path (see the module docstring)
-    if len(f) <= 40:
-        return _divide_out(_subresultant_gcd(f, g), f, g)
-    return _modular_gcd(f, g)
+    # 2^w > 2 min(|f|, |g|) + 2, the bound the certificate needs
+    nbytes = (min(_bits(f), _bits(g)) + 10) // 8
+    while True:
+        w = 8 * nbytes
+        x = math.gcd(_pack(f, w), _pack(g, w))
+        # x < 2^(w n - 1) for n = bit_length // w + 1: n signed digits hold x
+        h, _ = _primitive(_unpack(x, nbytes, x.bit_length() // w + 1))
+        if len(h) == 1:
+            return (1,), f, g
+        f_cof = _try_div_exact(f, h)
+        if f_cof is not None:
+            g_cof = _try_div_exact(g, h)
+            if g_cof is not None:
+                return h, f_cof, g_cof
+        nbytes *= 2
 
 
 # ---------------------------------------------------------------------------

@@ -722,8 +722,9 @@ def report_to_csv(report: SuiteReport, include_timings: bool = True) -> str:
 
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(f.name for f in fields(CaseRecord))
-    writer.writerows(row.values() for row in _record_dicts(report, include_timings))
+    writer.writerow(["engine", "seed"] + [f.name for f in fields(CaseRecord)])
+    run = [report.spec["engine"], report.spec["seed"]]
+    writer.writerows(run + list(row.values()) for row in _record_dicts(report, include_timings))
     return buf.getvalue()
 
 

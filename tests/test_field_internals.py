@@ -1,31 +1,30 @@
 """Stress tests for the polynomial gcd/division cores against a plain
-Fraction-based Euclid oracle, covering the small (subresultant) and large
-(modular-image) code paths, degree gaps, and non-monic inputs; property
-tests of the integer-vector multiply and exact division against schoolbook
-references, on both sides of their packing cut-offs; and of the packed
-GF(p) Euclid against a residue-list Euclid; and of the gcd's cofactors and
-the Henrici addition built on them."""
+Fraction-based Euclid oracle, covering short and long inputs, degree gaps,
+and non-monic inputs; property tests of the integer-vector multiply and
+exact division against schoolbook references, on both sides of their
+packing cut-offs; and of the gcd's cofactors against a residue-list Euclid
+over GF(p) and against sympy, and the Henrici addition built on them."""
 
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hankelkit import field
 from hankelkit.field import (
     _DIV_PACK_MIN,
-    _GCD_PRIMES,
     _MUL_PACK_MIN,
     FieldElem,
     Polynomial,
     _gcd_cofactors,
-    _gcd_mod,
     _mul_int,
+    _pack,
     _primitive,
     _try_div_exact,
+    _unpack,
     as_field,
     q,
 )
@@ -84,7 +83,7 @@ def test_gcd_matches_euclid_oracle_small_degrees():
 
 
 def test_gcd_matches_euclid_oracle_large_degrees():
-    # degrees past the subresultant cutoff exercise the modular-image path
+    # products of 40-60 coefficients
     rng = random.Random(7)
     for _ in range(8):
         a = random_poly(rng, rng.randint(25, 35))
@@ -96,7 +95,7 @@ def test_gcd_matches_euclid_oracle_large_degrees():
 
 
 def test_gcd_large_degree_gap():
-    # a degree gap of 77 on the modular path, non-monic divisor
+    # a degree gap of 77, non-monic divisor
     rng = random.Random(11)
     g = random_poly(rng, 6)
     big = random_poly(rng, 80) * g
@@ -298,8 +297,17 @@ def test_try_div_exact_quotient_wider_than_dividend():
 
 
 # ---------------------------------------------------------------------------
-# the packed GF(p) Euclid against a residue-list Euclid
+# the gcd and its cofactors
 # ---------------------------------------------------------------------------
+
+# primes 2^k - 1, k = 61, 89, 107, 127 and 521, for the residue-list Euclid
+_PRIMES = (
+    2305843009213693951,
+    618970019642690137449562111,
+    162259276829213363391578010288127,
+    170141183460469231731687303715884105727,
+    (1 << 521) - 1,
+)
 
 
 def list_gcd_mod(f, g, p):
@@ -326,80 +334,6 @@ def list_gcd_mod(f, g, p):
     return [c * inv % p for c in a]
 
 
-@st.composite
-def gcd_mod_inputs(draw):
-    """(f, g, p): f = h u and g = h v over Z, with lengths of f on both sides
-    of the subresultant cut-off (40) and degree gaps past 32; coefficients
-    wider than p, some of them multiples of p (the image loses its lead)."""
-    p = draw(st.sampled_from(_GCD_PRIMES))
-    span = 1 << draw(st.integers(1, 600))
-    multiple = st.sampled_from((p, -p, 3 * p))
-    coeff = st.one_of(st.integers(-span, span), multiple)
-
-    def vector(max_len):
-        body = draw(st.lists(coeff, min_size=0, max_size=max_len - 1))
-        return tuple(body) + (draw(st.one_of(st.integers(1, span), multiple)),)
-
-    h, u, v = vector(12), vector(80), vector(12)
-    f, g = _mul_int(h, u), _mul_int(h, v)
-    # the gcd of two zero images is undefined
-    assume(any(c % p for c in f + g))
-    if draw(st.booleans()):
-        f, g = g, f
-    return f, g, p
-
-
-@settings(max_examples=150, deadline=None)
-@given(gcd_mod_inputs())
-def test_gcd_mod_matches_list_euclid(args):
-    f, g, p = args
-    assert _gcd_mod(f, g, p) == list_gcd_mod(f, g, p)
-
-
-@pytest.mark.parametrize("p", _GCD_PRIMES)
-@pytest.mark.parametrize(
-    "lengths",
-    # f shorter and longer than 40 coefficients, with and without a gap past 32
-    [(5, 20, 20), (2, 36, 2), (8, 60, 60), (3, 79, 4)],
-)
-def test_gcd_mod_shapes(p, lengths):
-    rng = random.Random(len(str(p)) + sum(lengths))
-    for bits in (8, 200, 700):
-        h, u, v = (_random_vector(rng, n, bits) for n in lengths)
-        f, g = _mul_int(h, u), _mul_int(h, v)
-        assert _gcd_mod(f, g, p) == list_gcd_mod(f, g, p)
-        assert _gcd_mod(g, f, p) == list_gcd_mod(f, g, p)
-
-
-def test_gcd_primes_are_mersenne_primes():
-    # the packed Euclid folds slots with 2^k = 1 modulo p
-    sympy = pytest.importorskip("sympy")
-    for p in _GCD_PRIMES:
-        assert p & (p + 1) == 0
-        assert sympy.isprime(p)
-
-
-def test_wide_common_factor_lifts_without_subresultant(monkeypatch):
-    # a 450-bit common factor needs more than the four smaller primes
-    # (384 bits together); the fifth, 2^521 - 1, lifts it
-    def refuse(f, g):
-        raise AssertionError("subresultant fallback ran")
-
-    rng = random.Random(450)
-    h = _random_vector(rng, 7, 450)
-    u = _random_vector(rng, 37, 10)
-    v = _random_vector(rng, 37, 10)
-    f, g = Polynomial(_mul_int(h, u)), Polynomial(_mul_int(h, v))
-    assert len(f.coeffs) > 40
-    monkeypatch.setattr(field, "_subresultant_gcd", refuse)
-    assert normalized(f.gcd(g)) == normalized(Polynomial(h))
-
-
-# ---------------------------------------------------------------------------
-# gcd cofactors and Henrici addition
-# ---------------------------------------------------------------------------
-
-
 def _primitive_vector(rng, length, bits):
     prim, _ = _primitive(_random_vector(rng, length, bits))
     return prim
@@ -408,7 +342,7 @@ def _primitive_vector(rng, length, bits):
 def _coprime(f, g):
     """True when a prime p not dividing lc(f) gives a constant gcd of the
     images: the image gcd has at least the degree of the gcd over Q."""
-    for p in (_GCD_PRIMES[0], 1_000_000_007, 998_244_353):
+    for p in (_PRIMES[0], 1_000_000_007, 998_244_353):
         if f[-1] % p and list_gcd_mod(f, g, p) == [1]:
             return True
     return False
@@ -424,11 +358,38 @@ def _check_cofactors(f, g):
     return h
 
 
+@pytest.mark.parametrize("p", _PRIMES)
+@pytest.mark.parametrize(
+    "lengths",
+    # short and long vectors, with and without a long f against a short g
+    [(5, 20, 20), (2, 36, 2), (8, 60, 60), (3, 79, 4)],
+)
+def test_gcd_mod_shapes(p, lengths):
+    # the gcd's image in GF(p) is the gcd of the images, p being lucky
+    rng = random.Random(len(str(p)) + sum(lengths))
+    for bits in (8, 200, 700):
+        h, u, v = (_random_vector(rng, n, bits) for n in lengths)
+        f, g = _primitive(_mul_int(h, u))[0], _primitive(_mul_int(h, v))[0]
+        common = _check_cofactors(f, g)
+        lead = pow(common[-1], -1, p)
+        assert [c * lead % p for c in common] == list_gcd_mod(f, g, p)
+
+
+def test_wide_common_factor():
+    # a 450-bit common factor of 37-coefficient cofactors
+    rng = random.Random(450)
+    h = _random_vector(rng, 7, 450)
+    u = _random_vector(rng, 37, 10)
+    v = _random_vector(rng, 37, 10)
+    f, g = Polynomial(_mul_int(h, u)), Polynomial(_mul_int(h, v))
+    assert _check_cofactors(f.coeffs, g.coeffs) == Polynomial(h).coeffs
+    assert normalized(f.gcd(g)) == normalized(Polynomial(h))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 1 << 32), st.integers(1, 12), st.integers(1, 60),
        st.integers(1, 60), st.integers(1, 80))
 def test_gcd_cofactors_property(seed, len_h, len_u, len_v, bits):
-    # lengths of f and g on both sides of the subresultant cut-off (40)
     rng = random.Random(seed)
     h = _primitive_vector(rng, len_h, bits)
     u = _primitive_vector(rng, len_u, bits)
@@ -444,25 +405,58 @@ def test_gcd_cofactors_trivial_gcd_returns_inputs():
     assert h == (1,) and f_cof is f and g_cof is g
 
 
-def test_gcd_cofactors_wide_common_factor_takes_subresultant(monkeypatch):
-    # a 950-bit common factor is past what the five primes lift (~900 bits),
-    # so the subresultant sequence decides and its cofactors are divided once
-    calls = []
-    subresultant = field._subresultant_gcd
-
-    def counted(f, g):
-        calls.append(len(f))
-        return subresultant(f, g)
-
-    monkeypatch.setattr(field, "_subresultant_gcd", counted)
+def test_gcd_cofactors_very_wide_common_factor():
+    # a 950-bit common factor of 38 coefficients, cofactors of 8 bits
     rng = random.Random(950)
     h = _primitive_vector(rng, 38, 950)
     u = _primitive_vector(rng, 4, 8)
     v = _primitive_vector(rng, 3, 8)
     f, g = _mul_int(h, u), _mul_int(h, v)
-    assert len(f) > 40
     assert _check_cofactors(f, g) == h
-    assert calls
+
+
+def test_gcd_cofactors_rejects_a_multiple_and_retries():
+    # f = q (q + 1) and g = (q + 1)(q + 256): at the first slot width, 8
+    # bits, u(256) = 256 and v(256) = 512 share 256, and the digits of the
+    # integer gcd read back q^2 + q, which does not divide g
+    f, g = (0, 1, 1), (256, 257, 1)
+    x = gcd(_pack(f, 8), _pack(g, 8))
+    assert _unpack(x, 1, x.bit_length() // 8 + 1) == [0, 1, 1]
+    assert _gcd_cofactors(f, g) == ((1, 1), (0, 1), (256, 1))
+
+
+def test_gcd_cofactors_common_root_at_a_power_of_two():
+    # q - 256 vanishes at 2^8, so the first slot width must come from the
+    # coefficients (9 bits here), not be a fixed small one
+    f, g = _mul_int((-256, 1), (1, 1)), _mul_int((-256, 1), (2, 1))
+    assert _gcd_cofactors(f, g) == ((-256, 1), (1, 1), (2, 1))
+
+
+@st.composite
+def gcd_inputs(draw):
+    """(f, g) = (h u, h v) for primitive h, u, v of 1-80 coefficients of
+    1-600 bits.  Sometimes u gains a factor q and v a factor q + 2^j, so
+    that u(2^w) and v(2^w) share 2^min(j, w) and the first slot widths,
+    about bits(h u) wide, read back a multiple of h."""
+    rng = random.Random(draw(st.integers(0, 1 << 32)))
+    bits = draw(st.integers(1, 600))
+    h, u, v = (_primitive_vector(rng, draw(st.integers(1, 80)), bits) for _ in range(3))
+    if draw(st.booleans()):
+        u = _mul_int(u, (0, 1))
+        v = _mul_int(v, (1 << draw(st.integers(1, 2 * bits + 64)), 1))
+    return _mul_int(h, u), _mul_int(h, v)
+
+
+@settings(max_examples=80, deadline=None)
+@given(gcd_inputs())
+def test_gcd_cofactors_match_sympy(pair):
+    sympy = pytest.importorskip("sympy")
+    f, g = pair
+    x = sympy.Symbol("q")
+    expected = sympy.Poly(f[::-1], x, domain="ZZ").gcd(sympy.Poly(g[::-1], x, domain="ZZ"))
+    h, f_cof, g_cof = _gcd_cofactors(f, g)
+    assert h == tuple(int(c) for c in reversed(expected.all_coeffs()))
+    assert _mul_int(h, f_cof) == f and _mul_int(h, g_cof) == g
 
 
 @st.composite
@@ -506,8 +500,8 @@ def test_henrici_addition_with_equal_denominators_reduces():
 
 
 def test_field_elem_reduction_divides_once(monkeypatch):
-    # the modular gcd certifies its candidate by dividing f h and g h by it,
-    # and those two quotients are the reduced numerator and denominator
+    # the gcd certifies its candidate by dividing f h and g h by it, and
+    # those two quotients are the reduced numerator and denominator
     calls = []
     try_div_exact = field._try_div_exact
 

@@ -9,6 +9,7 @@ import pytest
 from hankelkit.errors import UnsupportedNegativeUpper
 from hankelkit.field import F_ONE, as_field, q
 from hankelkit.qcalc import (
+    _MEMO_SIZE,
     bracket_falling,
     gauss_binomial,
     q_binomial,
@@ -155,3 +156,21 @@ def test_running_products_cold_equal_warm(fn, head):
     # the empty product is in every row: the call for 0 is a hit
     assert fn.cache_info()[:2] == (1, n)
     assert fn(*head, n) == cold and fn.cache_info()[:2] == (2, n)
+
+
+@pytest.mark.parametrize("fn, args", [
+    (q_int, lambda j: (j,)),
+    (q_binomial, lambda j: (j, j + 1)),
+    # keyed on a field element: each base is a new key
+    (gauss_binomial, lambda j: (2, 1, as_field(j + 2))),
+])
+def test_memo_tables_are_bounded(fn, args):
+    fn.cache_clear()
+    try:
+        for j in range(_MEMO_SIZE + 100):
+            fn(*args(j))
+        info = fn.cache_info()
+        assert info.maxsize == _MEMO_SIZE and info.currsize <= info.maxsize
+        assert info.misses == _MEMO_SIZE + 100
+    finally:
+        fn.cache_clear()

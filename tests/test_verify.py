@@ -1,6 +1,8 @@
 """Suite runner: determinism, isolation, sampling, report formats."""
 
+import csv
 import hashlib
+import io
 import json
 from fractions import Fraction
 
@@ -199,6 +201,17 @@ class TestReportFormats:
         rep = run_suite(SuiteSpec("tables"))
         lines = report_to_csv(rep).strip().splitlines()
         assert len(lines) == len(rep.records) + 1
+
+    def test_csv_names_engine_and_seed(self):
+        texts = {
+            engine: report_to_csv(run_suite(SuiteSpec("tables", engine=engine, seed=5)),
+                                  include_timings=False)
+            for engine in ("bareiss", "division")
+        }
+        assert texts["bareiss"] != texts["division"]
+        rows = list(csv.reader(io.StringIO(texts["division"])))
+        assert rows[0][:3] == ["engine", "seed", "check"]
+        assert all(row[:2] == ["division", "5"] for row in rows[1:])
 
     def test_text_summary_line(self):
         rep = run_suite(SuiteSpec("tables"))
