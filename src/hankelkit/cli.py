@@ -16,13 +16,21 @@ import sys
 from .closed_forms import FORMULAS, closed_form, oracle_matrix
 from .errors import HankelkitError, MissingParameter, NotNormalized, ParseError
 from .field import FieldElem, coeff_strings, parse_field_expr
-from .hankel import det_exact, det_from_jacobi, hankel_matrix, jacobi_from_moments
+from .hankel import (DEFAULT_ENGINE, ENGINES, det_exact, det_from_jacobi, hankel_matrix,
+                     jacobi_from_moments)
 from .sequences import ExplicitSeq, MomentSeq, parse_sequence_spec
 from .triangle import JacobiParams, TSeq, Triangle, build_triangle, build_zero_s_triangle, contract
 from .verify import SUITES, SuiteSpec, report_to_csv, report_to_json, report_to_text, run_suite
 
 USAGE_ERROR = 2
 MATH_ERROR = 3
+
+# Upper limits of the size options, checked before any work.  Each is the
+# largest value measured to finish in under 50 s on c:q^2,q,q^2 with the
+# default engine (2 cores, Python 3.11): det at m = 1 took 47 s at n = 22,
+# det at n = 10 took 37 s at m = 35 (67 s at 40), jacobi took 37 s at
+# depth 22 (119 s at 26), triangle --seq took 35 s at 22 rows (60 s at 24).
+SIZE_LIMITS = {"n": 22, "m": 35, "depth": 22, "rows": 22}
 
 
 def _elem_json(x: FieldElem) -> dict:
@@ -252,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=0, help="index shift of the entries")
     p.add_argument("--via", choices=("oracle", "lemma"), default="oracle",
                    help="oracle = elimination engines, lemma = Jacobi t-product")
-    p.add_argument("--engine", choices=("bareiss", "division"), default="bareiss")
+    p.add_argument("--engine", choices=ENGINES, default=DEFAULT_ENGINE)
     p.add_argument("--cross-check", action="store_true", dest="cross_check",
                    help="compute both routes and compare")
     add_format(p)
@@ -263,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, default=0)
     p.add_argument("--x", help="rational parameter for the x-dependent formulas")
-    p.add_argument("--engine", choices=("bareiss", "division"), default="bareiss")
+    p.add_argument("--engine", choices=ENGINES, default=DEFAULT_ENGINE)
     p.add_argument("--cross-check", action="store_true", dest="cross_check",
                    help="also compute the brute-force determinant of the defining matrix")
     add_format(p)
@@ -280,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite", choices=SUITES + ("all",))
     p.add_argument("--n-max", type=int, default=5, dest="n_max")
     p.add_argument("--m-max", type=int, default=3, dest="m_max")
-    p.add_argument("--engine", choices=("bareiss", "division"), default="bareiss")
+    p.add_argument("--engine", choices=ENGINES, default=DEFAULT_ENGINE)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write the report to a file instead of stdout")
     add_format(p)
@@ -293,6 +301,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for name, limit in SIZE_LIMITS.items():
+            if getattr(args, name, 0) > limit:
+                raise ValueError(f"--{name} {getattr(args, name)} exceeds the limit {limit}")
         return args.fn(args)
     except (ParseError, MissingParameter, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,20 +1,21 @@
 """Hankel matrices over Q(q): exact determinants, LDL^t factorization and
 the inversion from moments back to Jacobi parameters.
 
-Two determinant engines are provided and must agree:
+One Gaussian elimination with row pivoting, ``_eliminate``, serves both
+the ``division`` engine (the signed product of its pivots) and ``ldlt``
+(multipliers A, pivots D).  On a symmetric matrix, as every Hankel matrix
+is, it updates only the upper triangle until its first row swap.
 
-* ``division`` - Gaussian elimination over the field, with row pivoting and
-  sign tracking;
-* ``bareiss`` - fraction-free elimination on the polynomial matrix obtained
-  by clearing each row to a common denominator, the cleared factors being
-  divided back out at the end.
+The ``bareiss`` engine is fraction-free elimination on the polynomial matrix
+made by clearing each row by the lcm of its denominators; one reduction
+divides the product of those lcms back out.  It shares no algebra with the
+other two and serves as their oracle.
 """
 
 from __future__ import annotations
 
 from .errors import NotNormalized, SingularLeadingMinor
-from .field import (F_ONE, F_ZERO, FieldElem, P_ONE, P_ZERO, Polynomial, _gcd_cofactors,
-                    _mul_int, as_field)
+from .field import F_ONE, F_ZERO, FieldElem, P_ONE, P_ZERO, Polynomial, _gcd_cofactors, as_field
 from .sequences import MomentSeq
 from .triangle import JacobiParams
 
@@ -62,85 +63,72 @@ def hankel_matrix(seq: MomentSeq, n: int, m: int = 0) -> SquareMatrix:
     return SquareMatrix([[terms[i + j + m] for j in range(n)] for i in range(n)])
 
 
-def det_division(M: SquareMatrix) -> FieldElem:
-    """Determinant by field Gaussian elimination with row pivoting."""
+def _eliminate(M: SquareMatrix):
+    """Gaussian elimination with row pivoting, one column at a time.
+
+    Yields (swapped, pivot, multipliers) per column: whether a row swap
+    brought the pivot up, the pivot, and a[r][col] / pivot for each row r
+    below it.  A zero pivot (nothing to pivot on) is yielded last.  While the
+    matrix is symmetric and no swap has happened, the Schur complement stays
+    symmetric: only its upper triangle is updated, and mirrored below.
+    """
     n = M.n
     a = [list(row) for row in M.entries]
-    sign = 1
-    det = F_ONE
+    symmetric = all(a[i][j] == a[j][i] for i in range(n) for j in range(i))
     for col in range(n):
-        pivot_row = None
-        for r in range(col, n):
-            if not a[r][col].is_zero:
-                pivot_row = r
-                break
+        pivot_row = next((r for r in range(col, n) if not a[r][col].is_zero), None)
         if pivot_row is None:
-            return F_ZERO
-        if pivot_row != col:
+            yield False, F_ZERO, []
+            return
+        swapped = pivot_row != col
+        if swapped:
             a[col], a[pivot_row] = a[pivot_row], a[col]
-            sign = -sign
+            symmetric = False
         pivot = a[col][col]
-        det = det * pivot
-        for r in range(col + 1, n):
-            factor = a[r][col]
-            if factor.is_zero:
+        multipliers = [a[r][col] / pivot for r in range(col + 1, n)]
+        yield swapped, pivot, multipliers
+        top = a[col]
+        for r, ratio in enumerate(multipliers, col + 1):
+            if ratio.is_zero:
                 continue
-            ratio = factor / pivot
-            for c in range(col + 1, n):
-                a[r][c] = a[r][c] - ratio * a[col][c]
-            a[r][col] = F_ZERO
-    return -det if sign < 0 else det
+            row = a[r]
+            for c in range(r if symmetric else col + 1, n):
+                row[c] = row[c] - ratio * top[c]
+            if symmetric:
+                for c in range(r + 1, n):
+                    a[c][r] = row[c]
 
 
-def _row_clearance(row):
-    """Common-denominator clearance of one row.
-
-    Returns (numerators, factor pieces): numerators are the entries times the
-    row lcm, the pieces multiply to that lcm and are kept separate so the
-    final reduction can divide them back out one by one.
-    """
-    lcm = (1,)
-    pieces = []
-    multipliers = []
-    for v in row:
-        # lcm / g extends to lcm / v.den once v.den / g joins the lcm; the
-        # pieces found after v multiply it up to the row lcm over v.den
-        _, lcm_cof, extra = _gcd_cofactors(lcm, v.den.coeffs)
-        if len(extra) > 1:
-            pieces.append(Polynomial._make(1, extra))
-            lcm = _mul_int(lcm, extra)
-        multipliers.append((lcm_cof, len(pieces)))
-    tails = [P_ONE]
-    for piece in reversed(pieces):
-        tails.append(tails[-1] * piece)
-    nums = []
-    for v, (lcm_cof, seen) in zip(row, multipliers):
-        nums.append(v.num * Polynomial._make(1, lcm_cof) * tails[len(pieces) - seen])
-    return nums, pieces
+def det_division(M: SquareMatrix) -> FieldElem:
+    """Determinant by field Gaussian elimination: the signed pivot product."""
+    det = F_ONE
+    for swapped, pivot, _ in _eliminate(M):
+        det = det * pivot
+        if swapped:
+            det = -det
+    return det
 
 
 def det_bareiss(M: SquareMatrix) -> FieldElem:
     """Determinant by fraction-free (Bareiss) elimination.
 
-    Each row is first cleared to a common polynomial denominator; the cleared
-    factors are divided back out of the fraction-free determinant.
+    Each row is cleared by the lcm of its denominators, and the determinant
+    of the polynomial matrix is divided by the product of those lcms.
     """
     n = M.n
     a = []
-    pieces = []
+    den = P_ONE
     for row in M.entries:
-        nums, row_pieces = _row_clearance(row)
-        a.append(nums)
-        pieces.extend(row_pieces)
+        lcm = P_ONE
+        for v in row:
+            lcm = lcm * Polynomial._make(1, _gcd_cofactors(lcm.coeffs, v.den.coeffs)[2])
+        a.append([v.num * (lcm // v.den) for v in row])
+        den = den * lcm
     sign = 1
     prev = P_ONE
     for k in range(n - 1):
         if a[k][k].is_zero:
-            swap = None
-            for r in range(k + 1, n):
-                if not a[r][k].is_zero:
-                    swap = r
-                    break
+            swap = next((r for r in range(k + 1, n) if not a[r][k].is_zero), None)
             if swap is None:
                 return F_ZERO
             a[k], a[swap] = a[swap], a[k]
@@ -152,26 +140,17 @@ def det_bareiss(M: SquareMatrix) -> FieldElem:
             a[i][k] = P_ZERO
         prev = pivot
     det_poly = a[n - 1][n - 1]
-    if sign < 0:
-        det_poly = -det_poly
-    if det_poly.is_zero:
-        return F_ZERO
-    # divide the clearance factors back out; whole pieces first, then one
-    # exact reduction for whatever partial overlap remains
-    leftover = P_ONE
-    for piece in pieces:
-        try:
-            det_poly = det_poly // piece
-        except ValueError:
-            leftover = leftover * piece
-    return FieldElem(det_poly, leftover)
+    return FieldElem(-det_poly if sign < 0 else det_poly, den)
 
 
-_ENGINES = {"division": det_division, "bareiss": det_bareiss}
+_ENGINES = {"bareiss": det_bareiss, "division": det_division}
+ENGINES = tuple(_ENGINES)
+# the faster engine on the benchmark (README, ``det``)
+DEFAULT_ENGINE = "division"
 
 
-def det_exact(M: SquareMatrix, engine: str = "bareiss") -> FieldElem:
-    """Exact determinant; ``engine`` selects 'bareiss' or 'division'."""
+def det_exact(M: SquareMatrix, engine: str = DEFAULT_ENGINE) -> FieldElem:
+    """Exact determinant; ``engine`` is one of ``ENGINES``."""
     try:
         fn = _ENGINES[engine]
     except KeyError:
@@ -180,27 +159,21 @@ def det_exact(M: SquareMatrix, engine: str = "bareiss") -> FieldElem:
 
 
 def ldlt(H: SquareMatrix) -> LdltFactors:
-    """Factor H = A diag(D) A^t with A unit lower triangular, no pivoting.
+    """Factor the symmetric H = A diag(D) A^t, A unit lower triangular.
 
-    Raises SingularLeadingMinor as soon as a pivot vanishes, which is exactly
-    when some leading principal minor of H is zero.
+    Raises SingularLeadingMinor(j + 1) at the first column j that would need
+    a row swap or has no pivot, which is exactly when the leading principal
+    minor of order j + 1 is zero.
     """
     n = H.n
-    A = [[F_ZERO] * n for _ in range(n)]
+    A = [[F_ONE if i == j else F_ZERO for j in range(n)] for i in range(n)]
     D = []
-    for j in range(n):
-        pivot = H[j, j]
-        for k in range(j):
-            pivot = pivot - A[j][k] * A[j][k] * D[k]
-        if pivot.is_zero:
+    for j, (swapped, pivot, multipliers) in enumerate(_eliminate(H)):
+        if swapped or pivot.is_zero:
             raise SingularLeadingMinor(j + 1)
-        A[j][j] = F_ONE
         D.append(pivot)
-        for i in range(j + 1, n):
-            v = H[i, j]
-            for k in range(j):
-                v = v - A[i][k] * A[j][k] * D[k]
-            A[i][j] = v / pivot
+        for i, ratio in enumerate(multipliers, j + 1):
+            A[i][j] = ratio
     return LdltFactors(SquareMatrix(A), D)
 
 

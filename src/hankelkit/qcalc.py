@@ -4,10 +4,10 @@ q-Pochhammer symbols with arbitrary base, and the bracket falling factorial.
 All values are exact elements of Q(q).  Results are memoized per argument
 tuple; every function is pure, so cached and uncached runs are identical.
 ``q_int``, ``q_binomial`` and ``gauss_binomial`` keep at most ``_MEMO_SIZE``
-entries each, least recently used out first.
-The running products (q-factorial, q-Pochhammer, bracket falling factorial)
-fill their tables bottom-up without recursion, so a cold call of any length
-returns what a warm one does.
+entries each, and the running products (q-factorial, q-Pochhammer, bracket
+falling factorial) at most ``_MEMO_SIZE`` rows, least recently used out
+first.  The running products fill their rows bottom-up without recursion,
+so a cold call of any length returns what a warm one does.
 """
 
 from __future__ import annotations
@@ -20,8 +20,10 @@ from functools import lru_cache, partial, update_wrapper
 from .errors import UnsupportedNegativeUpper
 from .field import F_ONE, F_ZERO, FieldElem, Polynomial, as_field, q
 
-# one ``verify all`` fills 15, 51 and 70 entries of the bounded tables, and
-# 21, 94 and 121 at n <= 7, m <= 4; a suite run evicts nothing
+# one ``verify all`` fills 15, 51 and 70 entries of q_int, q_binomial and
+# gauss_binomial, and 21, 94 and 121 at n <= 7, m <= 4; it makes 111 rows of
+# q_pochhammer (120 at seed 7, 144 at n <= 7, m <= 4) and at most 3 of the
+# other running products; a suite run evicts nothing
 _MEMO_SIZE = 512
 
 _CacheInfo = namedtuple("CacheInfo", ["hits", "misses", "maxsize", "currsize"])
@@ -29,12 +31,13 @@ _CacheInfo = namedtuple("CacheInfo", ["hits", "misses", "maxsize", "currsize"])
 
 class _RunningProduct:
     """f(*head, n) = factor(*head, 0) * ... * factor(*head, n - 1), memoized
-    for every n like ``functools.lru_cache(maxsize=None)``, with the same
-    ``cache_info`` and ``cache_clear``.  As a decorator it turns the factor,
-    a function of (*head, j), into f, called with (*head, n).
+    like ``functools.lru_cache(maxsize=_MEMO_SIZE)``, with the same
+    ``cache_info`` and ``cache_clear``, but in rows of partial products, one
+    per head; the sizes count rows.  As a decorator it turns the factor, a
+    function of (*head, j), into f, called with (*head, n).
 
-    A miss extends the row of partial products for its head upward from the
-    largest n already there, so no call recurses.
+    A miss extends the row for its head upward from the largest n already
+    there, so no call recurses.
     """
 
     def __init__(self, factor, what):
@@ -48,11 +51,14 @@ class _RunningProduct:
         self._lock = threading.Lock()
 
     def __call__(self, *args):
-        *head, n = args
+        head, n = args[:-1], args[-1]
         if n < 0:
             raise ValueError(f"{self.__name__} wants a nonnegative {self._what}")
         with self._lock:
-            row = self._rows.setdefault(tuple(head), [F_ONE])
+            # reinserted, the row is the most recently used; the first goes
+            row = self._rows[head] = self._rows.pop(head, None) or [F_ONE]
+            if len(self._rows) > _MEMO_SIZE:
+                del self._rows[next(iter(self._rows))]
             if n < len(row):
                 self._hits += 1
             else:
@@ -63,12 +69,11 @@ class _RunningProduct:
 
     def cache_info(self):
         with self._lock:
-            size = sum(len(row) for row in self._rows.values())
-            return _CacheInfo(self._hits, self._misses, None, size)
+            return _CacheInfo(self._hits, self._misses, _MEMO_SIZE, len(self._rows))
 
     def cache_clear(self):
         with self._lock:
-            self._rows = {}
+            self._rows.clear()
             self._hits = 0
             self._misses = 0
 

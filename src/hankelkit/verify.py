@@ -31,6 +31,8 @@ from .closed_forms import (
 from .errors import InsufficientSamples
 from .field import F_ONE, FieldElem, as_field, q
 from .hankel import (
+    DEFAULT_ENGINE,
+    ENGINES,
     SquareMatrix,
     det_bareiss,
     det_division,
@@ -62,7 +64,7 @@ class SuiteSpec:
     suite: str
     n_max: int = 5
     m_max: int = 3
-    engine: str = "bareiss"
+    engine: str = DEFAULT_ENGINE
     seed: int = 0
     params: tuple = ()  # optional QParams overriding a grid's sample set
 
@@ -292,7 +294,7 @@ def _suite_catalan_basics(spec: SuiteSpec):
         _grid(range(1, max(spec.n_max, 8) + 1), (0,), [
             (_equality_case, f"catalan det ({engine})", "seq=catalan", _const(as_field(1)),
              partial(_hankel_det, engine, CatalanSeq))
-            for engine in ("bareiss", "division")
+            for engine in ENGINES
         ])
         + _grid(range(1, 6), range(6), [
             (_equality_case, "catalan shifted det vs formula", "seq=catalan",
@@ -661,7 +663,7 @@ def build_cases(spec: SuiteSpec):
         raise ValueError("n_max must be at least 1")
     if spec.m_max < 0:
         raise ValueError("m_max must be nonnegative")
-    if spec.engine not in ("bareiss", "division"):
+    if spec.engine not in ENGINES:
         raise ValueError(f"unknown determinant engine {spec.engine!r}")
     if spec.suite == "all":
         cases = []

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from hankelkit.cli import main
+from hankelkit.cli import SIZE_LIMITS, main
 from hankelkit.field import parse_field_expr, q
 
 
@@ -246,6 +246,27 @@ class TestVerifyCommand:
         with pytest.raises(SystemExit) as err:
             main(["verify", "no-such-suite"])
         assert err.value.code == 2
+
+
+class TestSizeLimits:
+    @pytest.mark.parametrize("name, argv", [
+        ("n", ["det", "--seq", "c:q^2,q,q^2", "--m", "1", "--n"]),
+        ("m", ["det", "--seq", "c:q^2,q,q^2", "--n", "10", "--m"]),
+        ("n", ["closed-form", "Carlitz", "--n"]),
+        ("depth", ["jacobi", "--seq", "c:q^2,q,q^2", "--depth"]),
+        ("rows", ["triangle", "--seq", "c:q^2,q,q^2", "--rows"]),
+    ])
+    def test_limit_plus_one_exits_2_at_once(self, capsys, name, argv):
+        limit = SIZE_LIMITS[name]
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv, str(limit + 1))
+        assert code == 2 and out == ""
+        assert f"--{name} {limit + 1} exceeds the limit {limit}" in err
+        assert time.perf_counter() - start < 1.0
+
+    def test_benchmark_sizes_are_allowed(self):
+        assert SIZE_LIMITS["n"] >= 10 and SIZE_LIMITS["m"] >= 1
+        assert SIZE_LIMITS["depth"] >= 10 and SIZE_LIMITS["rows"] >= 18
 
 
 class TestRenderRoundTrip:

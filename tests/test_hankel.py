@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hankelkit.errors import NotNormalized, SingularLeadingMinor
 from hankelkit.field import as_field, q
@@ -23,6 +25,7 @@ from hankelkit.sequences import (
     ExplicitSeq,
     PochRatioSeq,
     andrews_q_catalan,
+    parse_sequence_spec,
 )
 from hankelkit.triangle import build_triangle
 
@@ -114,21 +117,47 @@ def test_ldlt_central_binomial():
     assert [d.as_rational() for d in f.D] == [1, 2, 2]
 
 
+def random_ldlt_input(rng, n):
+    """A symmetric L diag(D) L^t with L unit lower triangular and D nonzero,
+    so every leading minor is nonzero; entries over Q(q)."""
+    def entry():
+        return (as_field(rng.randint(-3, 3)) + as_field(rng.randint(-3, 3)) * q) / (
+            1 + rng.randint(0, 2) * q)
+
+    L = [[as_field(1) if i == j else entry() if j < i else as_field(0) for j in range(n)]
+         for i in range(n)]
+    D = [rng.choice((1, -2, 1 + q, q / (2 - q))) for _ in range(n)]
+    return SquareMatrix(
+        [[sum((L[i][k] * L[j][k] * D[k] for k in range(n)), as_field(0)) for j in range(n)]
+         for i in range(n)])
+
+
 def test_ldlt_reconstructs():
-    for seq in (
+    rng = random.Random(5)
+    cases = [hankel_matrix(seq, n, 0) for seq in (
         CatalanSeq(),
         CentralBinomialSeq(),
         PochRatioSeq(q ** 4, q, q ** 2),
         PochRatioSeq(q ** 2, q, q ** 2),
-    ):
-        for n in (2, 4, 6):
-            H = hankel_matrix(seq, n, 0)
-            assert reconstruct(ldlt(H), n) == H
+    ) for n in (2, 4, 6)]
+    cases += [random_ldlt_input(rng, n) for n in (1, 2, 3, 4, 5) for _ in range(2)]
+    for H in cases:
+        assert reconstruct(ldlt(H), H.n) == H
 
 
 def test_ldlt_singular_minor():
     with pytest.raises(SingularLeadingMinor) as err:
         ldlt(SquareMatrix([[1, 1], [1, 1]]))
+    assert err.value.order == 2
+
+
+def test_zero_leading_minor_after_an_update():
+    # [[1, 1, 1], [1, 1, 2], [1, 2, 5]]: the first column's symmetric update
+    # leaves a zero pivot in the second column, so elimination swaps there
+    H = hankel_matrix(parse_sequence_spec("explicit:1,1,1,2,5"), 3, 0)
+    assert det_division(H) == -1 and det_bareiss(H) == -1
+    with pytest.raises(SingularLeadingMinor) as err:
+        ldlt(H)
     assert err.value.order == 2
 
 
@@ -216,3 +245,47 @@ def test_engines_agree_on_random_matrices():
             ]
         )
         assert det_division(M) == det_bareiss(M)
+
+
+_Q_DENS = (as_field(1), 1 + q, 2 - q)
+
+
+@st.composite
+def small_matrices(draw):
+    """Matrices of order 1-4 over Q or Q(q), symmetric or not; entries are
+    often zero or repeated, so zero leading minors and singular matrices
+    come up."""
+    n = draw(st.integers(1, 4))
+    small = st.integers(-2, 2)
+    if draw(st.booleans()):
+        entry = st.builds(Fraction, small, st.integers(1, 3))
+    else:
+        entry = st.builds(lambda a, b, d: (as_field(a) + as_field(b) * q) / d,
+                          small, small, st.sampled_from(_Q_DENS))
+    rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):
+        rows = [[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    return SquareMatrix(rows)
+
+
+def _to_sympy(sympy, K, v):
+    """v as an element of sympy's field K = QQ(q)."""
+    x = K.gens[0]
+    num, den = (sum((K(sympy.Rational(c.numerator, c.denominator)) * x ** k
+                     for k, c in enumerate(p.coefficients)), K.zero)
+                for p in (v.num, v.den))
+    return num / den
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_matrices())
+def test_det_engines_match_sympy(M):
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    K = sympy.QQ.frac_field(sympy.Symbol("q"))
+    expected = DomainMatrix([[_to_sympy(sympy, K, v) for v in row] for row in M.entries],
+                            (M.n, M.n), K).det()
+    division = det_division(M)
+    assert division == det_bareiss(M)
+    assert _to_sympy(sympy, K, division) == expected

@@ -163,6 +163,8 @@ def test_running_products_cold_equal_warm(fn, head):
     (q_binomial, lambda j: (j, j + 1)),
     # keyed on a field element: each base is a new key
     (gauss_binomial, lambda j: (2, 1, as_field(j + 2))),
+    # a running product bounds its rows: each x is a new head
+    (q_pochhammer, lambda j: (as_field(j + 2), q, 1)),
 ])
 def test_memo_tables_are_bounded(fn, args):
     fn.cache_clear()
@@ -174,3 +176,20 @@ def test_memo_tables_are_bounded(fn, args):
         assert info.misses == _MEMO_SIZE + 100
     finally:
         fn.cache_clear()
+
+
+def test_running_product_evicts_least_recently_used_head():
+    heads = [(as_field(j + 2), q) for j in range(_MEMO_SIZE)]
+    q_pochhammer.cache_clear()
+    try:
+        for head in heads:
+            q_pochhammer(*head, 2)
+        q_pochhammer(*heads[0], 1)  # a hit: heads[1] is now the oldest row
+        q_pochhammer(as_field(-1), q, 2)
+        assert q_pochhammer.cache_info()[:2] == (1, _MEMO_SIZE + 1)
+        q_pochhammer(*heads[0], 2)
+        assert q_pochhammer.cache_info()[:2] == (2, _MEMO_SIZE + 1)
+        assert q_pochhammer(*heads[1], 2) == (1 - heads[1][0]) * (1 - q * heads[1][0])
+        assert q_pochhammer.cache_info()[:2] == (2, _MEMO_SIZE + 2)
+    finally:
+        q_pochhammer.cache_clear()
