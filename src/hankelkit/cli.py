@@ -26,11 +26,13 @@ USAGE_ERROR = 2
 MATH_ERROR = 3
 
 # Upper limits of the size options, checked before any work.  Each is the
-# largest value measured to finish in under 50 s on c:q^2,q,q^2 with the
-# default engine (2 cores, Python 3.11): det at m = 1 took 47 s at n = 22,
+# largest value measured to finish in under 50 s with the default engine
+# (2 cores, Python 3.11).  On c:q^2,q,q^2: det at m = 1 took 47 s at n = 22,
 # det at n = 10 took 37 s at m = 35 (67 s at 40), jacobi took 37 s at
 # depth 22 (119 s at 26), triangle --seq took 35 s at 22 rows (60 s at 24).
-SIZE_LIMITS = {"n": 22, "m": 35, "depth": 22, "rows": 22}
+# verify all, the other bound at its default, took 48 s at --n-max 10
+# (73 s at 11) and 43 s at --m-max 14 (52 s at 15).
+SIZE_LIMITS = {"n": 22, "m": 35, "depth": 22, "rows": 22, "n_max": 10, "m_max": 14}
 
 
 def _elem_json(x: FieldElem) -> dict:
@@ -303,7 +305,8 @@ def main(argv=None) -> int:
     try:
         for name, limit in SIZE_LIMITS.items():
             if getattr(args, name, 0) > limit:
-                raise ValueError(f"--{name} {getattr(args, name)} exceeds the limit {limit}")
+                raise ValueError(f"--{name.replace('_', '-')} {getattr(args, name)} "
+                                 f"exceeds the limit {limit}")
         return args.fn(args)
     except (ParseError, MissingParameter, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -5,13 +5,15 @@ recurrence weights T, explicit triangle entries A and a product formula for
 every shifted Hankel determinant d(n, m).  Its q -> 1 limit, the rising
 factorial ratio u(n) = prod (b+jc) / prod (a+jc), has classical analogues of
 all three.  On top of these sits a registry of named determinant formulas,
-each paired with the brute-force matrix it claims to evaluate.
+each paired with the terms c of the Hankel matrix c(i + j + m) whose
+brute-force determinant it claims to evaluate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import comb, factorial
 
 from .errors import MissingParameter, PoleInFormula
@@ -187,12 +189,6 @@ def classical_det(n: int, m: int, a, b, c) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _require_x(x):
-    if x is None:
-        raise MissingParameter("this formula needs the parameter x")
-    return Fraction(x)
-
-
 def _catalan_shift_value(n, m, x=None):
     value = Fraction(1)
     for j in range(1, m):
@@ -201,23 +197,11 @@ def _catalan_shift_value(n, m, x=None):
     return as_field(value)
 
 
-def _catalan_shift_matrix(n, m, x=None):
-    return hankel_matrix(CatalanSeq(), n, m)
-
-
 def _qpoch_rows_value(n, m, x=None):
-    x = _require_x(x)
     result = q ** (2 * comb(n, 3) + m * comb(n, 2)) * as_field(x) ** comb(n, 2)
     for k in range(n):
         result = result * q_pochhammer(as_field(x), q, k + m) * q_pochhammer(q, q, k)
     return result
-
-
-def _qpoch_rows_matrix(n, m, x=None):
-    x = _require_x(x)
-    return SquareMatrix(
-        [[q_pochhammer(as_field(x), q, i + j + m) for j in range(n)] for i in range(n)]
-    )
 
 
 def _qfactorial_value(n, m, x=None):
@@ -227,22 +211,12 @@ def _qfactorial_value(n, m, x=None):
     return result
 
 
-def _qfactorial_matrix(n, m, x=None):
-    return SquareMatrix([[q_factorial(i + j + m) for j in range(n)] for i in range(n)])
-
-
 def _bracket_falling_value(n, m, x=None):
-    x = _require_x(x)
     sign = -1 if comb(n, 2) % 2 else 1
     result = sign * q ** (2 * comb(n, 3) + m * comb(n, 2))
     for j in range(n):
         result = result * q_factorial(j) * bracket_falling(x, j + m)
     return result
-
-
-def _bracket_falling_matrix(n, m, x=None):
-    x = _require_x(x)
-    return SquareMatrix([[bracket_falling(x, i + j + m) for j in range(n)] for i in range(n)])
 
 
 def _carlitz_value(n, m, x=None):
@@ -256,10 +230,6 @@ def _carlitz_value(n, m, x=None):
     return result
 
 
-def _carlitz_matrix(n, m, x=None):
-    return SquareMatrix([[q_binomial(i + j + m, m) for j in range(n)] for i in range(n)])
-
-
 def _qhilbert_value(n, m, x=None):
     result = q ** (m * comb(n, 2) + n * (n - 1) * (2 * n - 1) // 6)
     for j in range(m):
@@ -267,12 +237,6 @@ def _qhilbert_value(n, m, x=None):
     for j in range(n):
         result = result * _div(q_factorial(j) ** 3, q_factorial(n + j))
     return result
-
-
-def _qhilbert_matrix(n, m, x=None):
-    return SquareMatrix(
-        [[_div(F_ONE, q_int(i + j + m + 1)) for j in range(n)] for i in range(n)]
-    )
 
 
 def _recip_bracket_value(n, m, x=None):
@@ -283,26 +247,12 @@ def _recip_bracket_value(n, m, x=None):
     return result
 
 
-def _recip_bracket_matrix(n, m, x=None):
-    if m == 0:
-        raise PoleInFormula("matrix entry 1/[0] is undefined at m = 0")
-    return SquareMatrix([[_div(F_ONE, q_int(i + j + m)) for j in range(n)] for i in range(n)])
-
-
-def _cb_base_seq():
-    return PochRatioSeq(q ** 2, q, q ** 2)
-
-
 def _cbq0_value(n, m=0, x=None):
     result = q ** (n * (n - 1) * (4 * n - 5) // 6)
     den = F_ONE
     for j in range(1, 2 * n - 1):
         den = den * (F_ONE + q ** j) ** (2 * n - 1 - j)
     return _div(result, den)
-
-
-def _cbq0_matrix(n, m=0, x=None):
-    return hankel_matrix(_cb_base_seq(), n, 0)
 
 
 def _cbqm_value(n, m, x=None):
@@ -326,10 +276,6 @@ def cbqm_expanded(n: int, m: int) -> FieldElem:
     return result * _cbq0_value(n)
 
 
-def _cbqm_matrix(n, m, x=None):
-    return hankel_matrix(_cb_base_seq(), n, m)
-
-
 def _central_binomial_value(n, m, x=None):
     value = Fraction(2) ** (n - 1 + m)
     for j in range(m):
@@ -338,20 +284,8 @@ def _central_binomial_value(n, m, x=None):
     return as_field(value)
 
 
-def _central_binomial_matrix(n, m, x=None):
-    return SquareMatrix(
-        [[as_field(comb(2 * (i + j + m), i + j + m)) for j in range(n)] for i in range(n)]
-    )
-
-
 def _odd_binomial_value(n, m, x=None):
     return as_field(Fraction(1, 2 ** n)) * _central_binomial_value(n, m + 1)
-
-
-def _odd_binomial_matrix(n, m, x=None):
-    return SquareMatrix(
-        [[as_field(comb(2 * (i + j + m) + 1, i + j + m)) for j in range(n)] for i in range(n)]
-    )
 
 
 def _andrews0_value(n, m=0, x=None):
@@ -360,10 +294,6 @@ def _andrews0_value(n, m=0, x=None):
     for j in range(2 * n - 2):
         den = den * (F_ONE + q ** (j + 2)) ** (2 * n - 2 - j)
     return _div(result, den)
-
-
-def _andrews0_matrix(n, m=0, x=None):
-    return hankel_matrix(andrews_q_catalan(), n, 0)
 
 
 def _andrewsm_value(n, m, x=None):
@@ -375,15 +305,21 @@ def _andrewsm_value(n, m, x=None):
     return result * _andrews0_value(n)
 
 
-def _andrewsm_matrix(n, m, x=None):
-    return hankel_matrix(andrews_q_catalan(), n, m)
+def _recip_bracket_entries(m, x):
+    if m == 0:
+        raise PoleInFormula("matrix entry 1/[0] is undefined at m = 0")
+    return lambda k: _div(F_ONE, q_int(k))
 
 
 @dataclass(frozen=True)
 class Formula:
+    """A named determinant formula.  ``value(n, m, x)`` claims the determinant
+    of ``hankel_matrix(entries(m, x), n, m)``; ``entries`` gives the terms c
+    as a MomentSeq or a function of the index."""
+
     tag: str
     value: object
-    matrix: object
+    entries: object
     needs_x: bool = False
     shift_domain: str = "any"      # "any" or "zero": which m the formula covers
     as_printed_mismatch: bool = False
@@ -392,26 +328,32 @@ class Formula:
 FORMULAS = {
     f.tag: f
     for f in (
-        Formula("CatalanShift", _catalan_shift_value, _catalan_shift_matrix),
-        Formula("QPochRows", _qpoch_rows_value, _qpoch_rows_matrix, needs_x=True),
-        Formula("QFactorial", _qfactorial_value, _qfactorial_matrix),
-        Formula("BracketFalling", _bracket_falling_value, _bracket_falling_matrix, needs_x=True),
-        Formula("Carlitz", _carlitz_value, _carlitz_matrix),
-        Formula("QHilbert", _qhilbert_value, _qhilbert_matrix),
-        Formula("RecipBracket", _recip_bracket_value, _recip_bracket_matrix,
+        Formula("CatalanShift", _catalan_shift_value, lambda m, x: CatalanSeq()),
+        Formula("QPochRows", _qpoch_rows_value,
+                lambda m, x: partial(q_pochhammer, as_field(x), q), needs_x=True),
+        Formula("QFactorial", _qfactorial_value, lambda m, x: q_factorial),
+        Formula("BracketFalling", _bracket_falling_value,
+                lambda m, x: partial(bracket_falling, x), needs_x=True),
+        Formula("Carlitz", _carlitz_value, lambda m, x: lambda k: q_binomial(k, m)),
+        Formula("QHilbert", _qhilbert_value, lambda m, x: lambda k: _div(F_ONE, q_int(k + 1))),
+        Formula("RecipBracket", _recip_bracket_value, _recip_bracket_entries,
                 as_printed_mismatch=True),
-        Formula("CBq0", _cbq0_value, _cbq0_matrix, shift_domain="zero"),
-        Formula("CBqm", _cbqm_value, _cbqm_matrix),
-        Formula("CentralBinomial", _central_binomial_value, _central_binomial_matrix),
-        Formula("OddBinomialRel", _odd_binomial_value, _odd_binomial_matrix),
-        Formula("Andrews0", _andrews0_value, _andrews0_matrix, shift_domain="zero"),
-        Formula("Andrewsm", _andrewsm_value, _andrewsm_matrix),
+        Formula("CBq0", _cbq0_value, lambda m, x: PochRatioSeq(q ** 2, q, q ** 2),
+                shift_domain="zero"),
+        Formula("CBqm", _cbqm_value, lambda m, x: PochRatioSeq(q ** 2, q, q ** 2)),
+        Formula("CentralBinomial", _central_binomial_value,
+                lambda m, x: lambda k: as_field(comb(2 * k, k))),
+        Formula("OddBinomialRel", _odd_binomial_value,
+                lambda m, x: lambda k: as_field(comb(2 * k + 1, k))),
+        Formula("Andrews0", _andrews0_value, lambda m, x: andrews_q_catalan(),
+                shift_domain="zero"),
+        Formula("Andrewsm", _andrewsm_value, lambda m, x: andrews_q_catalan()),
     )
 }
 
 
-def closed_form(tag: str, n: int, m: int = 0, x=None) -> FieldElem:
-    """Evaluate a registry formula at (n, m) and optional rational x."""
+def _formula(tag: str, n: int, m: int, x) -> Formula:
+    """The registry entry for ``tag``, once (n, m, x) is checked against it."""
     try:
         formula = FORMULAS[tag]
     except KeyError:
@@ -424,12 +366,14 @@ def closed_form(tag: str, n: int, m: int = 0, x=None) -> FieldElem:
         raise ValueError(f"{tag} is the m = 0 determinant; use the m-shifted variant")
     if formula.needs_x and x is None:
         raise MissingParameter(f"{tag} needs --x")
-    return formula.value(n, m, x)
+    return formula
+
+
+def closed_form(tag: str, n: int, m: int = 0, x=None) -> FieldElem:
+    """Evaluate a registry formula at (n, m) and optional rational x."""
+    return _formula(tag, n, m, x).value(n, m, x)
 
 
 def oracle_matrix(tag: str, n: int, m: int = 0, x=None) -> SquareMatrix:
     """The defining matrix whose brute-force determinant the formula claims."""
-    formula = FORMULAS[tag]
-    if formula.needs_x and x is None:
-        raise MissingParameter(f"{tag} needs --x")
-    return formula.matrix(n, m, x)
+    return hankel_matrix(_formula(tag, n, m, x).entries(m, x), n, m)

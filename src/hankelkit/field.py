@@ -39,7 +39,15 @@ length of 12-16 (16 at 600 bits), hence ``_MUL_PACK_MIN`` = 16.  The 2-adic
 division wins once divisor and quotient both have 24-32 coefficients of up
 to 30 bits; at 200 bits it needs 64, and between 32 and 64 it loses up to
 1.5x to the loop.  The q-moment determinants have small coefficients, hence
-``_DIV_PACK_MIN`` = 32.
+``_DIV_PACK_MIN`` = 32.  ``_pack`` splits a vector in halves down to runs of
+16 coefficients, which it folds by Horner's rule: a fold of the whole vector
+shifts an ever longer int and is quadratic, while runs of one coefficient
+pay a call per slot.  At 600 coefficients of 200 bits (w = 416, best of
+25) one pack took 261 us with runs of 16, against 505 us with runs of 1,
+522 us with runs of 64 and 6.2 ms with no split.  Runs of 16 were the
+fastest or within 12 % of it at 40, 100 and 600 coefficients; at 1300
+coefficients (w = 1216) runs of 4-24 differed by less than the noise
+between sweeps (Python 3.11, one core).
 
 Gcds are heuristic (GCDHEU: Char, Geddes and Gonnet, JSC 1989) and
 certified.  For primitive f = h u and g = h v with h their gcd, the integer
@@ -363,13 +371,6 @@ class Polynomial:
         if v == 0:
             return P_ZERO
         return cls._make(v, (1,))
-
-    @classmethod
-    def monomial(cls, coeff, degree) -> "Polynomial":
-        c = Fraction(coeff)
-        if c == 0:
-            return P_ZERO
-        return cls._make(c, (0,) * degree + (1,))
 
     @property
     def is_zero(self) -> bool:

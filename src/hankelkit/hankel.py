@@ -53,17 +53,19 @@ class LdltFactors:
         self.D = list(D)
 
 
-def hankel_matrix(seq: MomentSeq, n: int, m: int = 0) -> SquareMatrix:
-    """The n x n matrix with entries term(seq, i + j + m)."""
+def hankel_matrix(seq, n: int, m: int = 0) -> SquareMatrix:
+    """The n x n matrix with entries c(i + j + m), where c is the term of a
+    MomentSeq or a function of the index; only c(m .. 2n - 2 + m) is read."""
     if n < 1:
         raise ValueError("hankel_matrix wants n >= 1")
     if m < 0:
         raise ValueError("hankel_matrix wants m >= 0")
-    terms = seq.terms_upto(2 * n - 1 + m)
-    return SquareMatrix([[terms[i + j + m] for j in range(n)] for i in range(n)])
+    term = seq.term if isinstance(seq, MomentSeq) else seq
+    terms = [term(k) for k in range(m, 2 * n - 1 + m)]
+    return SquareMatrix([terms[i:i + n] for i in range(n)])
 
 
-def _eliminate(M: SquareMatrix):
+def _eliminate(M: SquareMatrix, require_symmetric: bool = False):
     """Gaussian elimination with row pivoting, one column at a time.
 
     Yields (swapped, pivot, multipliers) per column: whether a row swap
@@ -71,10 +73,13 @@ def _eliminate(M: SquareMatrix):
     below it.  A zero pivot (nothing to pivot on) is yielded last.  While the
     matrix is symmetric and no swap has happened, the Schur complement stays
     symmetric: only its upper triangle is updated, and mirrored below.
+    With ``require_symmetric`` a non-symmetric matrix raises ValueError.
     """
     n = M.n
     a = [list(row) for row in M.entries]
     symmetric = all(a[i][j] == a[j][i] for i in range(n) for j in range(i))
+    if require_symmetric and not symmetric:
+        raise ValueError("matrix is not symmetric")
     for col in range(n):
         pivot_row = next((r for r in range(col, n) if not a[r][col].is_zero), None)
         if pivot_row is None:
@@ -161,14 +166,14 @@ def det_exact(M: SquareMatrix, engine: str = DEFAULT_ENGINE) -> FieldElem:
 def ldlt(H: SquareMatrix) -> LdltFactors:
     """Factor the symmetric H = A diag(D) A^t, A unit lower triangular.
 
-    Raises SingularLeadingMinor(j + 1) at the first column j that would need
-    a row swap or has no pivot, which is exactly when the leading principal
-    minor of order j + 1 is zero.
+    Raises ValueError if H is not symmetric, and SingularLeadingMinor(j + 1)
+    at the first column j that would need a row swap or has no pivot, which
+    is exactly when the leading principal minor of order j + 1 is zero.
     """
     n = H.n
     A = [[F_ONE if i == j else F_ZERO for j in range(n)] for i in range(n)]
     D = []
-    for j, (swapped, pivot, multipliers) in enumerate(_eliminate(H)):
+    for j, (swapped, pivot, multipliers) in enumerate(_eliminate(H, require_symmetric=True)):
         if swapped or pivot.is_zero:
             raise SingularLeadingMinor(j + 1)
         D.append(pivot)

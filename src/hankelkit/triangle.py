@@ -1,15 +1,25 @@
 """Recurrence engines for the lower-triangular moment tables.
 
-build_triangle runs the three-term recurrence driven by Jacobi parameters
-(s, t); build_zero_s_triangle runs the parity-split form driven by a single
-weight sequence T; contract recovers (s, t) from T; rescale maps the moment
-scaling x^n onto the parameters; cross_sum is the bilinear product identity
-behind the Hankel factorization.
+build_triangle runs the three-term recurrence
+a(n, k) = a(n-1, k-1) + s(k) a(n-1, k) + t(k) a(n-1, k+1) driven by Jacobi
+parameters (s, t); its column 0 is the moment sequence.  The zero-s triangle
+of a weight sequence T is the case (s, t) = (0, T): build_zero_s_triangle is
+that call.  contract recovers the (s, t) of the even moments from T; rescale
+maps the moment scaling x^n onto the parameters; cross_sum is the bilinear
+product identity behind the Hankel factorization.
 """
 
 from __future__ import annotations
 
 from .field import F_ONE, F_ZERO, FieldElem, as_field
+
+
+def _lookup(values):
+    """A table or a callable as (function of the index, table length or None)."""
+    if callable(values):
+        return values, None
+    table = [as_field(v) for v in values]
+    return table.__getitem__, len(table)
 
 
 class JacobiParams:
@@ -20,30 +30,13 @@ class JacobiParams:
     """
 
     def __init__(self, s, t, length=None):
-        s_len = None
-        t_len = None
-        if callable(s):
-            self._s = s
-        else:
-            table = [as_field(v) for v in s]
-            self._s = table.__getitem__
-            s_len = len(table)
-        if callable(t):
-            self._t = t
-        else:
-            table = [as_field(v) for v in t]
-            self._t = table.__getitem__
-            t_len = len(table)
-        if length is not None:
-            self.length = length
-        else:
+        self._s, s_len = _lookup(s)
+        self._t, t_len = _lookup(t)
+        if length is None:
             # rows 0..n need s(0..n-1) and t(0..n-2)
-            bounds = []
-            if s_len is not None:
-                bounds.append(s_len)
-            if t_len is not None:
-                bounds.append(t_len + 1)
-            self.length = min(bounds) if bounds else None
+            bounds = [b for b in (s_len, None if t_len is None else t_len + 1) if b is not None]
+            length = min(bounds, default=None)
+        self.length = length
 
     def s(self, k: int) -> FieldElem:
         return as_field(self._s(k))
@@ -62,11 +55,7 @@ class TSeq:
     """Weight sequence T(k) for the zero-s recurrence; table or callable."""
 
     def __init__(self, T):
-        if callable(T):
-            self._T = T
-        else:
-            table = [as_field(v) for v in T]
-            self._T = table.__getitem__
+        self._T, _ = _lookup(T)
 
     def __call__(self, k: int) -> FieldElem:
         return as_field(self._T(k))
@@ -92,9 +81,6 @@ class Triangle:
         if k < 0 or k > n:
             return F_ZERO
         return self.rows[n][k]
-
-    def row(self, n: int):
-        return list(self.rows[n])
 
     def column0(self, count=None):
         count = self.n_rows if count is None else count
@@ -126,22 +112,12 @@ def build_triangle(jp: JacobiParams, n_max: int) -> Triangle:
 
 
 def build_zero_s_triangle(T: TSeq, n_max: int) -> Triangle:
-    """Rows 0..n_max of A(n, k) from the parity-split recurrence.
+    """Rows 0..n_max of the zero-s triangle: build_triangle with (s, t) = (0, T).
 
     A(n, 0) = T(0) A(n-1, 1) and A(n, k) = A(n-1, k-1) + T(k) A(n-1, k+1);
     entries of the wrong parity come out as structural zeros.
     """
-    rows = [[F_ONE]]
-    for n in range(1, n_max + 1):
-        prev = rows[-1]
-        row = [T(0) * prev[1] if len(prev) > 1 else F_ZERO]
-        for k in range(1, n + 1):
-            v = prev[k - 1] if k - 1 < len(prev) else F_ZERO
-            if k + 1 < len(prev):
-                v = v + T(k) * prev[k + 1]
-            row.append(v)
-        rows.append(row)
-    return Triangle(rows)
+    return build_triangle(JacobiParams(lambda k: F_ZERO, T), n_max)
 
 
 def contract(T: TSeq, length=None) -> JacobiParams:

@@ -75,6 +75,15 @@ class TestTriangleCommand:
         assert payload["command"] == "triangle"
         assert payload["rows"][2][1] == {"num_coeffs": ["3"], "den_coeffs": ["1"]}
 
+    def test_csv_format(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "triangle", "--T", "q", "--zero-s", "--rows", "4", "--format", "csv"
+        )
+        assert code == 0
+        assert list(csv.reader(io.StringIO(out))) == [
+            ["1"], ["0", "1"], ["q", "0", "1"], ["0", "2*q", "0", "1"],
+        ]
+
     def test_missing_source(self, capsys):
         code, _, err = run_cli(capsys, "triangle", "--rows", "4")
         assert code == 2 and "triangle needs" in err
@@ -110,6 +119,17 @@ class TestDetCommand:
         )
         assert code == 0
         assert "matches: yes" in out
+
+    def test_csv_cross_check(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "det", "--seq", "catalan", "--n", "2", "--m", "2", "--via", "lemma",
+            "--cross-check", "--format", "csv",
+        )
+        assert code == 0
+        assert list(csv.reader(io.StringIO(out)))[:2] == [
+            ["command", "seq", "n", "m", "via", "engine", "result", "oracle", "matches"],
+            ["det", "catalan", "2", "2", "lemma", "division", "3", "3", "True"],
+        ]
 
     def test_engines_agree(self, capsys):
         _, out1, _ = run_cli(capsys, "det", "--seq", "andrews", "--n", "3", "--engine", "bareiss")
@@ -215,6 +235,27 @@ class TestJacobiCommand:
         _, out2, _ = run_cli(capsys, "jacobi", "--seq", "catalan", "--depth", "4")
         assert out1 == out2
 
+    def test_json_format(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "jacobi", "--seq", "central-binomial", "--depth", "3", "--format", "json"
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["command"] == "jacobi"
+        assert payload["params"] == {"seq": "central-binomial", "depth": 3}
+        assert [v["num_coeffs"] for v in payload["s"]] == [["2"], ["2"]]
+        assert [v["num_coeffs"] for v in payload["t"]] == [["2"], ["1"]]
+        assert all(v["den_coeffs"] == ["1"] for v in payload["s"] + payload["t"])
+
+    def test_csv_format(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "jacobi", "--seq", "catalan", "--depth", "4", "--format", "csv"
+        )
+        assert code == 0
+        assert list(csv.reader(io.StringIO(out))) == [
+            ["k", "0", "1", "2"], ["s", "1", "2", "2"], ["t", "1", "1", "1"],
+        ]
+
     def test_not_normalized(self, capsys):
         code, _, err = run_cli(capsys, "jacobi", "--seq", "explicit:2,1,1", "--depth", "2")
         assert code == 3 and "not 1" in err
@@ -242,6 +283,21 @@ class TestVerifyCommand:
         assert payload["summary"]["failed"] == 0
         assert f"report written to {target}" in out
 
+    def test_csv_report(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "verify", "tables", "--engine", "bareiss", "--seed", "3", "--format", "csv"
+        )
+        assert code == 0
+        header, *rows = list(csv.reader(io.StringIO(out)))
+        assert header == ["engine", "seed", "check", "params", "n", "m", "expected", "actual",
+                          "holds", "expected_failure", "anomaly", "wall_ms", "error"]
+        assert [row[:3] for row in rows] == [
+            ["bareiss", "3", "ballot table (8 rows)"],
+            ["bareiss", "3", "catalan triangle (5 rows)"],
+            ["bareiss", "3", "central binomial triangle (5 rows)"],
+        ]
+        assert all(row[8] == "True" and row[-1] == "" for row in rows)
+
     def test_unknown_suite_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["verify", "no-such-suite"])
@@ -255,18 +311,22 @@ class TestSizeLimits:
         ("n", ["closed-form", "Carlitz", "--n"]),
         ("depth", ["jacobi", "--seq", "c:q^2,q,q^2", "--depth"]),
         ("rows", ["triangle", "--seq", "c:q^2,q,q^2", "--rows"]),
+        ("n_max", ["verify", "all", "--n-max"]),
+        ("m_max", ["verify", "all", "--m-max"]),
     ])
     def test_limit_plus_one_exits_2_at_once(self, capsys, name, argv):
         limit = SIZE_LIMITS[name]
         start = time.perf_counter()
         code, out, err = run_cli(capsys, *argv, str(limit + 1))
         assert code == 2 and out == ""
-        assert f"--{name} {limit + 1} exceeds the limit {limit}" in err
+        assert f"{argv[-1]} {limit + 1} exceeds the limit {limit}" in err
         assert time.perf_counter() - start < 1.0
 
     def test_benchmark_sizes_are_allowed(self):
         assert SIZE_LIMITS["n"] >= 10 and SIZE_LIMITS["m"] >= 1
         assert SIZE_LIMITS["depth"] >= 10 and SIZE_LIMITS["rows"] >= 18
+        # verify all runs at its defaults, --n-max 5 --m-max 3
+        assert SIZE_LIMITS["n_max"] >= 5 and SIZE_LIMITS["m_max"] >= 3
 
 
 class TestRenderRoundTrip:

@@ -21,7 +21,7 @@ from hankelkit.closed_forms import (
 from hankelkit.errors import MissingParameter, PoleInFormula
 from hankelkit.field import as_field, q
 from hankelkit.hankel import det_exact, hankel_matrix
-from hankelkit.qcalc import q_pochhammer
+from hankelkit.qcalc import bracket_falling, q_binomial, q_factorial, q_int, q_pochhammer
 from hankelkit.sequences import PochRatioSeq, RisingRatioSeq
 from hankelkit.triangle import TSeq, build_zero_s_triangle
 
@@ -203,6 +203,49 @@ class TestRegistry:
     def test_zero_shift_domain(self):
         with pytest.raises(ValueError):
             closed_form("CBq0", 2, 1)
+        with pytest.raises(ValueError):
+            oracle_matrix("CBq0", 2, 1)
+
+    def test_oracle_matrix_checks_its_arguments(self):
+        for tag, formula in FORMULAS.items():
+            x = Fraction(2) if formula.needs_x else None
+            with pytest.raises(ValueError):
+                oracle_matrix(tag, 0, 0, x)
+            with pytest.raises(ValueError):
+                oracle_matrix(tag, 1, -1, x)
+            if formula.needs_x:
+                with pytest.raises(MissingParameter):
+                    oracle_matrix(tag, 2, 0)
+        with pytest.raises(KeyError):
+            oracle_matrix("NoSuchFormula", 1, 0)
+
+    def test_oracle_matrix_entries(self):
+        x = Fraction(5, 2)
+        entries = {
+            "CatalanShift": lambda k: comb(2 * k, k) // (k + 1),
+            "QPochRows": lambda k: q_pochhammer(as_field(x), q, k),
+            "QFactorial": q_factorial,
+            "BracketFalling": lambda k: bracket_falling(x, k),
+            "Carlitz": lambda k: q_binomial(k, 1),
+            "QHilbert": lambda k: 1 / q_int(k + 1),
+            "RecipBracket": lambda k: 1 / q_int(k),
+            "CBq0": PochRatioSeq(q ** 2, q, q ** 2).term,
+            "CBqm": PochRatioSeq(q ** 2, q, q ** 2).term,
+            "CentralBinomial": lambda k: comb(2 * k, k),
+            "OddBinomialRel": lambda k: comb(2 * k + 1, k),
+            "Andrews0": PochRatioSeq(q ** 4, q, q ** 2).term,
+            "Andrewsm": PochRatioSeq(q ** 4, q, q ** 2).term,
+        }
+        assert sorted(entries) == sorted(FORMULAS)
+        for tag, c in entries.items():
+            m = 0 if FORMULAS[tag].shift_domain == "zero" else 1
+            M = oracle_matrix(tag, 3, m, x if FORMULAS[tag].needs_x else None)
+            assert M.n == 3
+            for i in range(3):
+                for j in range(3):
+                    assert M[i, j] == as_field(c(i + j + m)), (tag, i, j)
+        with pytest.raises(PoleInFormula):
+            oracle_matrix("RecipBracket", 2, 0)
 
 
 class TestQToOneBridges:

@@ -219,6 +219,25 @@ def test_render_parse_round_trip(x):
 
 
 @settings(max_examples=80, deadline=None)
+@given(field_elems())
+def test_render_matches_sympy(x):
+    """sympy reads render(x), with ^ as power, as the quotient of x's
+    numerator and denominator coefficient lists."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.parsing.sympy_parser import convert_xor, parse_expr, standard_transformations
+
+    v = sympy.Symbol("q")
+
+    def poly(p):
+        return sum(sympy.Rational(c.numerator, c.denominator) * v ** k
+                   for k, c in enumerate(p.coefficients))
+
+    parsed = parse_expr(render(x), local_dict={"q": v},
+                        transformations=standard_transformations + (convert_xor,))
+    assert sympy.cancel(parsed - poly(x.num) / poly(x.den)) == 0
+
+
+@settings(max_examples=80, deadline=None)
 @given(field_elems(), field_elems(), st.fractions(min_value=-3, max_value=3, max_denominator=4))
 def test_specialize_is_ring_homomorphism(x, y, point):
     try:

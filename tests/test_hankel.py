@@ -57,6 +57,19 @@ def test_hankel_matrix_values():
     ]
 
 
+
+def test_hankel_matrix_of_a_function():
+    read = []
+
+    def term(k):
+        read.append(k)
+        return k * k
+
+    assert rational_entries(hankel_matrix(term, 2, 3)) == [[9, 16], [16, 25]]
+    assert read == [3, 4, 5]
+    assert hankel_matrix(CatalanSeq().term, 3, 1) == hankel_matrix(CatalanSeq(), 3, 1)
+
+
 def test_det_examples():
     assert det_exact(hankel_matrix(CatalanSeq(), 2, 0)) == 1
     assert det_exact(hankel_matrix(CatalanSeq(), 2, 2)).as_rational() == 3
@@ -151,6 +164,13 @@ def test_ldlt_singular_minor():
     assert err.value.order == 2
 
 
+def test_ldlt_rejects_a_non_symmetric_matrix():
+    with pytest.raises(ValueError, match="not symmetric"):
+        ldlt(SquareMatrix([[1, 2], [3, 4]]))
+    with pytest.raises(ValueError, match="not symmetric"):
+        ldlt(SquareMatrix([[1, 0, 0], [0, 1, 0], [0, q, 1]]))
+
+
 def test_zero_leading_minor_after_an_update():
     # [[1, 1, 1], [1, 1, 2], [1, 2, 5]]: the first column's symmetric update
     # leaves a zero pivot in the second column, so elimination swaps there
@@ -195,6 +215,7 @@ def test_det_from_jacobi_values():
 
 
 def test_lemma_route_equals_elimination():
+    # the ldlt route runs _eliminate, so it is checked against Bareiss
     for seq_fn in (
         CatalanSeq,
         CentralBinomialSeq,
@@ -202,7 +223,7 @@ def test_lemma_route_equals_elimination():
         lambda: PochRatioSeq(q ** 2, q, q ** 2),
     ):
         for n in range(1, 7):
-            direct = det_exact(hankel_matrix(seq_fn(), n, 0))
+            direct = det_bareiss(hankel_matrix(seq_fn(), n, 0))
             via_params = det_from_jacobi(jacobi_from_moments(seq_fn(), n), n)
             assert direct == via_params, n
 

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 from math import comb
 
+import pytest
+
 from hankelkit.closed_forms import QParams, qmoment_T
 from hankelkit.field import as_field, q
 from hankelkit.sequences import PochRatioSeq
@@ -198,3 +200,23 @@ def test_out_of_range_reads_zero():
     tri = build_triangle(catalan_params(), 3)
     assert tri.a(2, -1).is_zero
     assert tri.a(2, 3).is_zero
+
+
+def test_jacobi_params_length():
+    # rows 0..n need s(0..n-1) and t(0..n-2)
+    assert JacobiParams([1, 2, 3], [1, 1]).length == 3
+    assert JacobiParams([1, 2, 3], [1]).length == 2
+    assert JacobiParams([1, 2, 3], []).length == 1
+    assert JacobiParams([1, 2], lambda k: 1).length == 2
+    assert JacobiParams(lambda k: 1, [1, 1]).length == 3
+    assert JacobiParams(lambda k: 1, lambda k: 1).length is None
+    assert JacobiParams(lambda k: 1, lambda k: 1, length=4).length == 4
+
+
+def test_zero_s_triangle_reads_the_weight_table_up_to_rows_minus_two():
+    values = [q, 1 + q, 2, q ** 2, 3]
+    tri = build_zero_s_triangle(TSeq(values), 6)
+    assert tri.rows == build_zero_s_triangle(TSeq(lambda k: values[k]), 6).rows
+    assert tri.a(6, 0) == values[0] * tri.a(5, 1)
+    with pytest.raises(IndexError):
+        build_zero_s_triangle(TSeq(values), 7)
