@@ -34,6 +34,10 @@ MATH_ERROR = 3
 # (73 s at 11) and 43 s at --m-max 14 (52 s at 15).
 SIZE_LIMITS = {"n": 22, "m": 35, "depth": 22, "rows": 22, "n_max": 10, "m_max": 14}
 
+# Jointly, verify all's time follows 2 n_max + m_max, as its grids read c(2n - 2 + m):
+# at 23 it took 34-49 s for n_max 5-10, at 24 it took 53-67 s for n_max 7-10.
+VERIFY_SIZE_LIMIT = 23
+
 
 def _elem_json(x: FieldElem) -> dict:
     return {"num_coeffs": coeff_strings(x.num), "den_coeffs": coeff_strings(x.den)}
@@ -307,6 +311,8 @@ def main(argv=None) -> int:
             if getattr(args, name, 0) > limit:
                 raise ValueError(f"--{name.replace('_', '-')} {getattr(args, name)} "
                                  f"exceeds the limit {limit}")
+        if args.command == "verify" and 2 * args.n_max + args.m_max > VERIFY_SIZE_LIMIT:
+            raise ValueError(f"2 * --n-max + --m-max exceeds the limit {VERIFY_SIZE_LIMIT}")
         return args.fn(args)
     except (ParseError, MissingParameter, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

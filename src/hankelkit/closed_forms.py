@@ -366,6 +366,8 @@ def _formula(tag: str, n: int, m: int, x) -> Formula:
         raise ValueError(f"{tag} is the m = 0 determinant; use the m-shifted variant")
     if formula.needs_x and x is None:
         raise MissingParameter(f"{tag} needs --x")
+    if not formula.needs_x and x is not None:
+        raise ValueError(f"{tag} takes no --x")
     return formula
 
 

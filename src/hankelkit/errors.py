@@ -12,7 +12,7 @@ class DivisionByZero(HankelkitError, ZeroDivisionError):
 class PoleAtPoint(HankelkitError):
     """Specialization point is a root of the reduced denominator."""
 
-    def __init__(self, point, elem=None):
+    def __init__(self, point):
         self.point = point
         super().__init__(f"denominator vanishes at q = {point}")
 
@@ -58,4 +58,4 @@ class MissingParameter(HankelkitError):
 
 
 class InsufficientSamples(HankelkitError):
-    """Pole screening exhausted the deterministic sample space."""
+    """More samples were requested than the deterministic enumeration has."""

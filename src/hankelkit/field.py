@@ -714,7 +714,7 @@ def _render_poly(p: Polynomial) -> str:
         return "0"
     parts = []
     for deg in range(p.degree, -1, -1):
-        c = p.content * p.coeffs[deg] if deg < len(p.coeffs) else 0
+        c = p.content * p.coeffs[deg]
         if c == 0:
             continue
         term = _render_term(c, deg)

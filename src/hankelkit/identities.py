@@ -65,7 +65,7 @@ def _weighted_terms(A_of, T_of, n: int):
     return terms
 
 
-def check_weighted_alt_sum(T: TSeq, n: int, label: str = "") -> IdentityReport:
+def check_weighted_alt_sum(T: TSeq, n: int) -> IdentityReport:
     """sum_k (-1)^k A(2n, 2k) prod_{j<k} T(2j) = [n = 0] for any weight sequence."""
     tri = build_zero_s_triangle(T, 2 * n)
     terms = _weighted_terms(lambda r, c: tri.a(r, c), T, n)
@@ -73,7 +73,7 @@ def check_weighted_alt_sum(T: TSeq, n: int, label: str = "") -> IdentityReport:
     for k, term in enumerate(terms):
         lhs = lhs - term if k % 2 else lhs + term
     rhs = F_ONE if n == 0 else F_ZERO
-    return IdentityReport.of("weighted alternating sum", f"n={n}{label}", lhs, rhs)
+    return IdentityReport.of("weighted alternating sum", f"n={n}", lhs, rhs)
 
 
 def _binomial_summand(a: FieldElem, n: int, k: int) -> FieldElem:

@@ -101,7 +101,7 @@ def build_triangle(jp: JacobiParams, n_max: int) -> Triangle:
             v = v + jp.t(0) * prev[1]
         row = [v]
         for k in range(1, n + 1):
-            v = prev[k - 1] if k - 1 < len(prev) else F_ZERO
+            v = prev[k - 1]
             if k < len(prev):
                 v = v + jp.s(k) * prev[k]
             if k + 1 < len(prev):
@@ -120,7 +120,7 @@ def build_zero_s_triangle(T: TSeq, n_max: int) -> Triangle:
     return build_triangle(JacobiParams(lambda k: F_ZERO, T), n_max)
 
 
-def contract(T: TSeq, length=None) -> JacobiParams:
+def contract(T: TSeq) -> JacobiParams:
     """Jacobi parameters of the even subsequence of a zero-s table:
     s(0) = T(0), s(n) = T(2n-1) + T(2n), t(n) = T(2n) T(2n+1)."""
 
@@ -132,7 +132,7 @@ def contract(T: TSeq, length=None) -> JacobiParams:
     def t(k):
         return T(2 * k) * T(2 * k + 1)
 
-    return JacobiParams(s, t, length=length)
+    return JacobiParams(s, t)
 
 
 def rescale(jp: JacobiParams, x) -> JacobiParams:

@@ -12,10 +12,11 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from functools import partial
-from math import comb
+from itertools import permutations
+from math import comb, gcd
 
 from .closed_forms import (
     FORMULAS,
@@ -66,7 +67,6 @@ class SuiteSpec:
     m_max: int = 3
     engine: str = DEFAULT_ENGINE
     seed: int = 0
-    params: tuple = ()  # optional QParams overriding a grid's sample set
 
 
 @dataclass
@@ -130,74 +130,51 @@ class SuiteReport:
 # ---------------------------------------------------------------------------
 
 
-def _pole_free(p: QParams, n_max: int, m_max: int = 3) -> bool:
-    """Reject parameter points that zero any weight/determinant denominator,
-    i.e. where 1 - base^e * a vanishes for some 0 <= e <= 2 n_max + m_max + 2."""
-    if p.base == q and p.a.is_constant:
-        # q^e * a is a nonconstant monomial or zero for e > 0, so only e = 0
-        # can vanish, and it does exactly when a = 1
-        return p.a != 1
-    bound = 2 * n_max + m_max + 2
-    for e in range(bound + 1):
-        if (F_ONE - p.base ** e * p.a).is_zero:
-            return False
-    return True
+def _walk(pairs):
+    """Pairs (i, j) ordered by (i + j, i)."""
+    return sorted(pairs, key=lambda ij: (ij[0] + ij[1], ij[0]))
 
 
-def _rational_values():
-    vals = []
-    for total in range(3, 15):
-        for num in range(1, 8):
-            den = total - num
-            if den < 1 or den > 7:
-                continue
-            v = Fraction(num, den)
-            if v == 1 or v.numerator != num or v.denominator != den:
-                continue
-            vals.append(v)
-    return vals
+# the reduced fractions p/r != 1 with p, r <= 7
+_RATIONALS = [Fraction(p, r) for p, r in _walk(permutations(range(1, 8), 2)) if gcd(p, r) == 1]
 
 
-def sample_parameters(kind: str, count: int, seed: int = 0, n_max: int = 5):
-    """Deterministic pole-screened (a, b, base) samples.
+def sample_parameters(kind: str, count: int, seed: int = 0):
+    """Deterministic (a, b, base) samples away from the q-moment poles.
 
-    Enumeration order is fixed: q-power pairs start from the named instances
+    Enumeration order is fixed: q-power triples start from the named instances
     (q^4, q | q^2), (q^2, q | q^2) followed by (q^i, q^j | q) for distinct
-    exponents in 1..6; rational pairs walk reduced fractions p/r (p, r <= 7,
-    value != 1) ordered by (p + r, p).  The seed rotates the starting offset.
+    exponents in 1..6; rational triples (a, b | q) take distinct a, b from
+    the fractions p/r above, walking both (p, r) and the index pairs of
+    (a, b) in _walk order.  The seed rotates the starting offset; only the
+    returned samples are built.
+
+    No candidate needs a pole screen.  The family's weights and determinants
+    have denominators 1 - base^e a (e >= 0), and base^e a is a nonconstant
+    monomial for a = q^i, or for a constant a and e > 0, while 1 - a != 0 at
+    e = 0 since a != 1.
     """
     if count < 1:
         raise ValueError("count must be positive")
     if kind == "q-power":
-        candidates = [QParams(q ** 4, q, q ** 2), QParams(q ** 2, q, q ** 2)]
-        for i in range(1, 7):
-            for j in range(1, 7):
-                if i != j:
-                    candidates.append(QParams(q ** i, q ** j, q))
+        candidates = [(q ** 4, q, q ** 2), (q ** 2, q, q ** 2)] + [
+            (q ** i, q ** j, q) for i, j in permutations(range(1, 7), 2)
+        ]
     elif kind == "rational":
-        vals = _rational_values()
-        candidates = []
-        for total in range(1, 2 * len(vals) - 1):
-            for i in range(min(total + 1, len(vals))):
-                j = total - i
-                if j < 0 or j >= len(vals) or i == j:
-                    continue
-                candidates.append(QParams(as_field(vals[i]), as_field(vals[j]), q))
+        candidates = [(_RATIONALS[i], _RATIONALS[j], q)
+                      for i, j in _walk(permutations(range(len(_RATIONALS)), 2))]
     else:
         raise ValueError(f"unknown sample kind {kind!r}")
-    screened = [p for p in candidates if _pole_free(p, n_max)]
-    if count > len(screened):
+    if count > len(candidates):
         raise InsufficientSamples(
-            f"only {len(screened)} pole-free {kind} samples available, wanted {count}"
+            f"only {len(candidates)} pole-free {kind} samples available, wanted {count}"
         )
-    start = seed % len(screened)
-    rotated = screened[start:] + screened[:start]
-    return rotated[:count]
+    return [QParams(*candidates[(seed + k) % len(candidates)]) for k in range(count)]
 
 
 def thm2_sample_set(seed: int = 0):
     """The documented determinant-grid samples: the flagship parameter points
-    plus two screened rational pairs."""
+    plus two rational pairs."""
     named = [
         QParams(q ** 4, q, q ** 2),
         QParams(q ** 2, q, q ** 2),
@@ -209,8 +186,8 @@ def thm2_sample_set(seed: int = 0):
 
 
 def thm1_sample_set(seed: int = 0):
-    """Residual-grid samples: the named (a, b) pairs and two screened
-    rational pairs, each under both bases q and q^2."""
+    """Residual-grid samples: the named (a, b) pairs and two rational
+    pairs, each under both bases q and q^2."""
     pairs = [(q ** 4, q), (q ** 2, q), (q, q ** 2), (q, q ** 3), (q, q ** 4)]
     pairs.extend((p.a, p.b) for p in sample_parameters("rational", 2, seed=seed))
     return [QParams(a, b, base) for base in (q, q * q) for a, b in pairs]
@@ -379,7 +356,7 @@ def _closed_A_matches_triangle(p: QParams, n: int) -> bool:
 def _suite_thm1_grid(spec: SuiteSpec):
     bound = spec.n_max
     cases = []
-    for p in (spec.params or thm1_sample_set(spec.seed)):
+    for p in thm1_sample_set(spec.seed):
         cases += _grid(range(bound + 1), (0,), [
             (_bool_case, "even-row recurrence residual", str(p),
              partial(_recurrence_holds, p, 0, bound)),
@@ -401,7 +378,7 @@ def _symbolic_det2(p: QParams, n: int, m: int) -> FieldElem:
 
 def _suite_thm2_grid(spec: SuiteSpec):
     cases = []
-    for p in (spec.params or thm2_sample_set(spec.seed)):
+    for p in thm2_sample_set(spec.seed):
         cases += _grid((2,), (0,), [
             (_equality_case, "symbolic 2x2 determinant", str(p),
              partial(_symbolic_det2, p), partial(qmoment_det, p=p)),
@@ -680,18 +657,7 @@ def build_cases(spec: SuiteSpec):
 def run_suite(spec: SuiteSpec) -> SuiteReport:
     """Execute a suite; records come back in deterministic spec order."""
     records = [_run_case(c) for c in build_cases(spec)]
-    report = SuiteReport(
-        suite=spec.suite,
-        spec={
-            "suite": spec.suite,
-            "n_max": spec.n_max,
-            "m_max": spec.m_max,
-            "engine": spec.engine,
-            "seed": spec.seed,
-        },
-        records=records,
-    )
-    return report.finalize()
+    return SuiteReport(spec.suite, asdict(spec), records).finalize()
 
 
 # ---------------------------------------------------------------------------

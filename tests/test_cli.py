@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from hankelkit.cli import SIZE_LIMITS, main
+from hankelkit.cli import SIZE_LIMITS, VERIFY_SIZE_LIMIT, main
 from hankelkit.field import parse_field_expr, q
 
 
@@ -204,6 +204,12 @@ class TestClosedFormCommand:
         code, _, err = run_cli(capsys, "closed-form", "QPochRows", "--n", "2")
         assert code == 2 and "--x" in err
 
+    def test_unused_x_is_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "closed-form", "Carlitz", "--n", "2", "--m", "1",
+                                 "--x", "3", "--format", "json")
+        assert code == 2 and out == ""
+        assert "Carlitz takes no --x" in err
+
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(
             capsys, "closed-form", "CentralBinomial", "--n", "3", "--format", "csv"
@@ -322,11 +328,20 @@ class TestSizeLimits:
         assert f"{argv[-1]} {limit + 1} exceeds the limit {limit}" in err
         assert time.perf_counter() - start < 1.0
 
+    def test_joint_verify_limit_exits_2_at_once(self, capsys):
+        # each cap alone is accepted; together they exceed the joint limit
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "verify", "all", "--n-max", "10", "--m-max", "14")
+        assert code == 2 and out == ""
+        assert f"2 * --n-max + --m-max exceeds the limit {VERIFY_SIZE_LIMIT}" in err
+        assert time.perf_counter() - start < 1.0
+
     def test_benchmark_sizes_are_allowed(self):
         assert SIZE_LIMITS["n"] >= 10 and SIZE_LIMITS["m"] >= 1
         assert SIZE_LIMITS["depth"] >= 10 and SIZE_LIMITS["rows"] >= 18
         # verify all runs at its defaults, --n-max 5 --m-max 3
         assert SIZE_LIMITS["n_max"] >= 5 and SIZE_LIMITS["m_max"] >= 3
+        assert VERIFY_SIZE_LIMIT >= 2 * 5 + 3
 
 
 class TestRenderRoundTrip:

@@ -80,6 +80,13 @@ class TestQMomentDet:
                     H = hankel_matrix(PochRatioSeq(p.a, p.b, p.base), n, m)
                     assert qmoment_det(n, m, p) == det_exact(H), (str(p), n, m)
 
+    def test_against_oracle_at_a_point_outside_the_sample_sets(self):
+        p = QParams(q ** 3, q, q)
+        for n in range(1, 4):
+            for m in range(2):
+                H = hankel_matrix(PochRatioSeq(p.a, p.b, p.base), n, m)
+                assert qmoment_det(n, m, p) == det_exact(H), (n, m)
+
     def test_shift_one_factor(self):
         p = QParams(q ** 3, q ** 2, q)
         d0 = qmoment_det(3, 0, p)
@@ -195,6 +202,14 @@ class TestRegistry:
     def test_missing_x(self):
         with pytest.raises(MissingParameter):
             closed_form("QPochRows", 2, 0)
+
+    def test_unused_x_is_rejected(self):
+        for tag, formula in FORMULAS.items():
+            if not formula.needs_x:
+                with pytest.raises(ValueError, match="takes no --x"):
+                    closed_form(tag, 2, 0, Fraction(3))
+                with pytest.raises(ValueError, match="takes no --x"):
+                    oracle_matrix(tag, 2, 0, Fraction(3))
 
     def test_unknown_tag(self):
         with pytest.raises(KeyError):

@@ -102,6 +102,18 @@ def test_parse_sequence_specs():
     assert parse_sequence_spec("scale:q:shift:1:catalan").term(1) == q * 2
 
 
+@pytest.mark.parametrize("spec", [
+    "catalan", "central-binomial", "andrews", "c:q^2,q,q^2", "c:1/2,-3/4,q",
+    "u:4,1,2", "u:5/2,-1/3,3", "shift:2:catalan", "scale:q/(1+q):andrews",
+    "explicit:1,1/2,q^2-1,1/(1-q)", "scale:-2:shift:1:c:q^3,q,q",
+])
+def test_spec_string_round_trip(spec):
+    seq = parse_sequence_spec(spec)
+    again = parse_sequence_spec(seq.spec_string())
+    assert again.spec_string() == seq.spec_string()
+    assert again.terms_upto(4) == seq.terms_upto(4)
+
+
 def test_parse_sequence_spec_errors():
     with pytest.raises(ValueError):
         parse_sequence_spec("bogus")

@@ -4,18 +4,16 @@ import csv
 import hashlib
 import io
 import json
-from fractions import Fraction
 
 import pytest
 
-from hankelkit.closed_forms import QParams
+from hankelkit.cli import SIZE_LIMITS
 from hankelkit.errors import InsufficientSamples
-from hankelkit.field import q
+from hankelkit.field import F_ONE, q
 from hankelkit.verify import (
     SUITES,
     Case,
     SuiteSpec,
-    _pole_free,
     _run_case,
     build_cases,
     report_to_csv,
@@ -34,7 +32,7 @@ class TestSampleParameters:
         assert samples[0].base == q * q
 
     def test_screening_rejects_unit_a(self):
-        # a = 1 zeroes (a; base)_1 and never survives the screen
+        # a = 1 zeroes (a; base)_1 and is never a candidate
         for p in sample_parameters("q-power", 30, seed=0):
             assert not (p.a - 1).is_zero
         for p in sample_parameters("rational", 30, seed=0):
@@ -59,23 +57,23 @@ class TestSampleParameters:
         (1121, [("7/6", "6/7"), ("1/2", "2"), ("2", "1/2")]),
     ])
     def test_rational_enumeration_pinned(self, seed, expected):
-        # values recorded from the general FieldElem screen; the rotation wraps
-        # at 1122 screened candidates
-        for n_max in (5, 8):
-            got = sample_parameters("rational", 3, seed=seed, n_max=n_max)
-            assert [(str(p.a), str(p.b)) for p in got] == expected
-            assert all(p.base == q for p in got)
+        # the rotation wraps at 1122 candidates
+        got = sample_parameters("rational", 3, seed=seed)
+        assert [(str(p.a), str(p.b)) for p in got] == expected
+        assert all(p.base == q for p in got)
         with pytest.raises(InsufficientSamples, match="only 1122 "):
             sample_parameters("rational", 1123, seed=seed)
 
-    def test_pole_screen(self):
-        # for a constant a and base q only e = 0 can vanish, when a = 1
-        assert not _pole_free(QParams(1, Fraction(1, 2), q), 5)
-        assert _pole_free(QParams(Fraction(1, 2), 1, q), 5)
-        assert _pole_free(QParams(0, 1, q), 5)
-        # anything else takes the general screen: 1 - q^2 * q^-2 = 0
-        assert not _pole_free(QParams(q ** -2, 1, q), 5)
-        assert _pole_free(QParams(q ** -2, 1, q ** 3), 5)
+    @pytest.mark.parametrize("kind, total", [("q-power", 32), ("rational", 1122)])
+    def test_every_candidate_is_pole_free(self, kind, total):
+        # the q-moment weights and determinants have denominators 1 - base^e a;
+        # check e up to 2 n_max + m_max + 2 at the CLI caps
+        bound = 2 * SIZE_LIMITS["n_max"] + SIZE_LIMITS["m_max"] + 2
+        for p in sample_parameters(kind, total):
+            power = F_ONE
+            for e in range(bound + 1):
+                assert not (F_ONE - power * p.a).is_zero, (str(p), e)
+                power = power * p.base
 
     def test_q_power_enumeration_pinned(self):
         got = sample_parameters("q-power", 32, seed=0)
@@ -105,15 +103,6 @@ class TestRunSuite:
             run_suite(SuiteSpec("tables", m_max=-1))
         with pytest.raises(ValueError):
             run_suite(SuiteSpec("tables", engine="cofactor"))
-
-    def test_sample_set_override(self):
-        from hankelkit.closed_forms import QParams
-
-        spec = SuiteSpec("thm2-grid", n_max=3, m_max=1, params=(QParams(q ** 3, q, q),))
-        rep = run_suite(spec)
-        assert rep.ok
-        # one symbolic spot case plus the 3 x 2 grid for the single sample
-        assert rep.counts["total"] == 7
 
     def test_all_known_suites_build(self):
         for name in SUITES:
