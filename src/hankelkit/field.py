@@ -6,8 +6,9 @@ polynomials.  No floating point appears anywhere in the package.
 
 A polynomial is stored as a rational *content* times a primitive integer
 coefficient vector (ascending degree, trailing coefficient nonzero, positive
-leading entry).  Products of primitive vectors stay primitive, so the hot
-paths (convolution, exact division, gcd) run on plain Python ints.
+leading entry), and a FieldElem as one content and two coprime such vectors,
+c n / d.  Products of primitive vectors stay primitive, so the hot paths
+(convolution, exact division, gcd) run on plain Python ints.
 
 Long vectors are multiplied by Kronecker substitution (Harvey, JSC 2009):
 a vector is packed into one int as its value at a power of 2, the ints are
@@ -327,10 +328,16 @@ def _gcd_cofactors(f, g):
 # ---------------------------------------------------------------------------
 
 
-def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:
-    num = math.gcd(a.numerator, b.numerator)
-    den = a.denominator * b.denominator // math.gcd(a.denominator, b.denominator)
-    return Fraction(num, den)
+def _combine(x: Fraction, a, y: Fraction, b):
+    """x a + y b for nonzero x, y and primitive vectors a, b, as (content,
+    primitive vector), () when zero: g (x/g a + y/g b) with integers x/g and
+    y/g for g = gcd(x num, y num) / lcm(x den, y den)."""
+    g = math.gcd(x.numerator, y.numerator)
+    lcm = math.lcm(x.denominator, y.denominator)
+    xg = x.numerator // g * (lcm // x.denominator)
+    yg = y.numerator // g * (lcm // y.denominator)
+    prim, cont = _primitive(_add_int(tuple(xg * v for v in a), tuple(yg * v for v in b)))
+    return Fraction(g * cont, lcm), prim
 
 
 class Polynomial:
@@ -399,12 +406,7 @@ class Polynomial:
             return other
         if other.is_zero:
             return self
-        g = _frac_gcd(self.content, other.content)
-        a = int(self.content / g)
-        b = int(other.content / g)
-        raw = _add_int(tuple(a * c for c in self.coeffs), tuple(b * c for c in other.coeffs))
-        prim, cont = _primitive(raw)
-        return Polynomial._make(g * cont, prim)
+        return Polynomial._make(*_combine(self.content, self.coeffs, other.content, other.coeffs))
 
     def __neg__(self):
         if self.is_zero:
@@ -488,16 +490,18 @@ def _as_poly(v) -> Polynomial:
 
 
 class FieldElem:
-    """Element of Q(q), kept in canonical form.
+    """Element of Q(q), kept in canonical form c * n / d.
 
-    num/den are coprime over Q[q], den has integer coefficients with content 1
-    and positive leading coefficient; equality and hashing are componentwise.
-    Every element is kept reduced: ``__init__`` reduces, and each ``_raw``
-    site builds a pair that is coprime by construction.  Addition relies on
-    this invariant to reduce against gcd(b, d) only.
+    ``c`` is a Fraction; ``n`` and ``d`` are primitive integer vectors
+    (ascending, positive leading entry), coprime over Z[q].  Zero is
+    (0, (), (1,)).  ``num`` and ``den`` are the Polynomial views c * n and d.
+    Equality and hashing compare the triple.  Every element is kept reduced:
+    ``__init__`` reduces, and each ``_raw`` site builds a triple that is
+    coprime by construction.  Addition relies on this invariant to reduce
+    against gcd(b, d) only.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("c", "n", "d")
 
     def __init__(self, num, den=None):
         num = _as_poly(num)
@@ -505,70 +509,72 @@ class FieldElem:
         if den.is_zero:
             raise DivisionByZero("zero denominator in field element")
         if num.is_zero:
-            self.num = P_ZERO
-            self.den = P_ONE
+            self.c, self.n, self.d = Fraction(0), (), (1,)
             return
-        _, ncoef, dcoef = _gcd_cofactors(num.coeffs, den.coeffs)
-        self.num = Polynomial._make(num.content / den.content, ncoef)
-        self.den = Polynomial._make(Fraction(1), dcoef)
+        _, self.n, self.d = _gcd_cofactors(num.coeffs, den.coeffs)
+        self.c = num.content / den.content
 
     @classmethod
-    def _raw(cls, num, den):
+    def _raw(cls, c, n, d):
         e = object.__new__(cls)
-        e.num = num
-        e.den = den
+        e.c, e.n, e.d = c, n, d
         return e
 
     @property
+    def num(self) -> Polynomial:
+        return Polynomial._make(self.c, self.n)
+
+    @property
+    def den(self) -> Polynomial:
+        return Polynomial._make(Fraction(1), self.d)
+
+    @property
     def is_zero(self) -> bool:
-        return self.num.is_zero
+        return not self.n
 
     @property
     def is_constant(self) -> bool:
-        return self.den == P_ONE and self.num.degree <= 0
+        return self.d == (1,) and len(self.n) <= 1
 
     def as_rational(self) -> Fraction:
         if not self.is_constant:
             raise ValueError(f"{self} is not a rational constant")
-        return self.num.content if self.num.coeffs else Fraction(0)
+        return self.c
 
     def __bool__(self):
-        return not self.num.is_zero
+        return bool(self.n)
 
     def __add__(self, other):
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        if self.is_zero:
+        if not self.n:
             return other
-        if other.is_zero:
+        if not other.n:
             return self
         # Henrici: for b = b' g, d = d' g with g = gcd(b, d), the sum is
         # (a d' + c b') / (b' d) and its numerator is coprime to b' d', so
         # only g can share a factor with it
-        a, c = self.num, other.num
-        b, d = self.den.coeffs, other.den.coeffs
+        b, d = self.d, other.d
         if b == d:
             g, b_cof, d_cof = d, (1,), (1,)
-            num = a + c
+            c, n = _combine(self.c, self.n, other.c, other.n)
         else:
             g, b_cof, d_cof = _gcd_cofactors(b, d)
-            num = (Polynomial._make(a.content, _mul_int(a.coeffs, d_cof))
-                   + Polynomial._make(c.content, _mul_int(c.coeffs, b_cof)))
-        if num.is_zero:
+            c, n = _combine(self.c, _mul_int(self.n, d_cof), other.c, _mul_int(other.n, b_cof))
+        if not n:
             return F_ZERO
-        h, ncoef, g_cof = _gcd_cofactors(num.coeffs, g)
+        h, n, g_cof = _gcd_cofactors(n, g)
         if len(h) == 1:
             den = _mul_int(b_cof, d)
         else:
             den = _mul_int(_mul_int(b_cof, d_cof), g_cof)
-        return FieldElem._raw(Polynomial._make(num.content, ncoef),
-                              Polynomial._make(Fraction(1), den))
+        return FieldElem._raw(c, n, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElem._raw(-self.num, self.den)
+        return FieldElem._raw(-self.c, self.n, self.d)
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -586,23 +592,18 @@ class FieldElem:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        if self.is_zero or other.is_zero:
+        if not self.n or not other.n:
             return F_ZERO
-        n1, n2 = self.num, other.num
-        _, n1c, d2c = _gcd_cofactors(n1.coeffs, other.den.coeffs)
-        _, n2c, d1c = _gcd_cofactors(n2.coeffs, self.den.coeffs)
-        num = Polynomial._make(n1.content * n2.content, _mul_int(n1c, n2c))
-        den = Polynomial._make(Fraction(1), _mul_int(d1c, d2c))
-        return FieldElem._raw(num, den)
+        _, n1, d2 = _gcd_cofactors(self.n, other.d)
+        _, n2, d1 = _gcd_cofactors(other.n, self.d)
+        return FieldElem._raw(self.c * other.c, _mul_int(n1, n2), _mul_int(d1, d2))
 
     __rmul__ = __mul__
 
     def reciprocal(self) -> "FieldElem":
-        if self.is_zero:
+        if not self.n:
             raise DivisionByZero("reciprocal of zero")
-        num = Polynomial._make(1 / self.num.content, self.den.coeffs)
-        den = Polynomial._make(Fraction(1), self.num.coeffs)
-        return FieldElem._raw(num, den)
+        return FieldElem._raw(1 / self.c, self.d, self.n)
 
     def __truediv__(self, other):
         other = _coerce(other)
@@ -625,10 +626,8 @@ class FieldElem:
             return F_ONE
         if e < 0:
             return self.reciprocal() ** (-e)
-        # num and den are coprime, so are their powers
-        return FieldElem._raw(
-            self.num ** e, Polynomial._make(Fraction(1), _pow_int(self.den.coeffs, e))
-        )
+        # n and d are coprime, so are their powers
+        return FieldElem._raw(self.c ** e, _pow_int(self.n, e), _pow_int(self.d, e))
 
     def specialize(self, point) -> Fraction:
         """Exact value at q = point; raises PoleAtPoint on a denominator root."""
@@ -642,13 +641,13 @@ class FieldElem:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return self.c == other.c and self.n == other.n and self.d == other.d
 
     def __hash__(self):
         # a constant equals its Fraction (and int) value, so it hashes like it
-        if len(self.num.coeffs) <= 1 and self.den.coeffs == (1,):
-            return hash(self.num.content)
-        return hash((self.num.content, self.num.coeffs, self.den.coeffs))
+        if self.is_constant:
+            return hash(self.c)
+        return hash((self.c, self.n, self.d))
 
     def __str__(self):
         return render(self)
@@ -657,15 +656,15 @@ class FieldElem:
         return f"FieldElem({render(self)!r})"
 
 
-F_ZERO = FieldElem._raw(P_ZERO, P_ONE)
-F_ONE = FieldElem._raw(P_ONE, P_ONE)
+F_ZERO = FieldElem._raw(Fraction(0), (), (1,))
+F_ONE = FieldElem._raw(Fraction(1), (1,), (1,))
 
 
 def _coerce(v):
     if isinstance(v, FieldElem):
         return v
     if isinstance(v, (int, Fraction)):
-        return FieldElem(Polynomial.constant(v))
+        return FieldElem._raw(Fraction(v), (1,), (1,)) if v else F_ZERO
     if isinstance(v, Polynomial):
         return FieldElem(v)
     return None
@@ -680,7 +679,7 @@ def as_field(v) -> FieldElem:
 
 
 #: the indeterminate, as a field element
-q = FieldElem._raw(Polynomial._make(Fraction(1), (0, 1)), P_ONE)
+q = FieldElem._raw(Fraction(1), (0, 1), (1,))
 
 
 def specialize(x: FieldElem, point) -> Fraction:
@@ -727,7 +726,7 @@ def _render_poly(p: Polynomial) -> str:
 
 def render(x: FieldElem) -> str:
     """Canonical pretty form; re-parses to an equal element."""
-    if x.den == P_ONE:
+    if x.d == (1,):
         return _render_poly(x.num)
     return f"({_render_poly(x.num)}) / ({_render_poly(x.den)})"
 

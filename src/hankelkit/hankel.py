@@ -126,7 +126,7 @@ def det_bareiss(M: SquareMatrix) -> FieldElem:
     for row in M.entries:
         lcm = P_ONE
         for v in row:
-            lcm = lcm * Polynomial._make(1, _gcd_cofactors(lcm.coeffs, v.den.coeffs)[2])
+            lcm = lcm * Polynomial._make(1, _gcd_cofactors(lcm.coeffs, v.d)[2])
         a.append([v.num * (lcm // v.den) for v in row])
         den = den * lcm
     sign = 1

@@ -7,7 +7,8 @@ import time
 
 import pytest
 
-from hankelkit.cli import SIZE_LIMITS, VERIFY_SIZE_LIMIT, main
+from hankelkit.cli import (CLOSED_FORM_SIZE_LIMIT, DET_SIZE_LIMIT, SIZE_LIMITS,
+                           VERIFY_SIZE_LIMIT, main)
 from hankelkit.field import parse_field_expr, q
 
 
@@ -336,12 +337,29 @@ class TestSizeLimits:
         assert f"2 * --n-max + --m-max exceeds the limit {VERIFY_SIZE_LIMIT}" in err
         assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize("argv, weight, limit, rule", [
+        (["det", "--seq", "c:q^2,q,q^2"], 2, DET_SIZE_LIMIT, "2 * --n + --m"),
+        (["closed-form", "CBqm"], 1, CLOSED_FORM_SIZE_LIMIT, "--n + --m"),
+    ])
+    def test_joint_limit_plus_one_exits_2_at_once(self, capsys, argv, weight, limit, rule):
+        # the largest --n its cap allows, and the --m that passes the joint limit by one
+        n = SIZE_LIMITS["n"]
+        m = limit + 1 - weight * n
+        assert 0 <= m <= SIZE_LIMITS["m"]
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv, "--n", str(n), "--m", str(m))
+        assert code == 2 and out == ""
+        assert f"error: {rule} exceeds the limit {limit}" in err
+        assert time.perf_counter() - start < 1.0
+
     def test_benchmark_sizes_are_allowed(self):
         assert SIZE_LIMITS["n"] >= 10 and SIZE_LIMITS["m"] >= 1
         assert SIZE_LIMITS["depth"] >= 10 and SIZE_LIMITS["rows"] >= 18
         # verify all runs at its defaults, --n-max 5 --m-max 3
         assert SIZE_LIMITS["n_max"] >= 5 and SIZE_LIMITS["m_max"] >= 3
         assert VERIFY_SIZE_LIMIT >= 2 * 5 + 3
+        # det-kernels runs det at n = 10, m = 1
+        assert DET_SIZE_LIMIT >= 2 * 10 + 1
 
 
 class TestRenderRoundTrip:

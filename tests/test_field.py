@@ -1,5 +1,6 @@
 """Exact arithmetic in Q(q): canonical forms, parsing, rendering."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -227,14 +228,52 @@ def test_render_matches_sympy(x):
     from sympy.parsing.sympy_parser import convert_xor, parse_expr, standard_transformations
 
     v = sympy.Symbol("q")
-
-    def poly(p):
-        return sum(sympy.Rational(c.numerator, c.denominator) * v ** k
-                   for k, c in enumerate(p.coefficients))
-
     parsed = parse_expr(render(x), local_dict={"q": v},
                         transformations=standard_transformations + (convert_xor,))
-    assert sympy.cancel(parsed - poly(x.num) / poly(x.den)) == 0
+    assert sympy.cancel(parsed - _to_sympy(sympy, x, v)) == 0
+
+
+def _to_sympy(sympy, x, v):
+    """x as the sympy quotient of its numerator and denominator in v."""
+    num, den = (sum(sympy.Rational(c.numerator, c.denominator) * v ** k
+                    for k, c in enumerate(p.coefficients)) for p in (x.num, x.den))
+    return num / den
+
+
+def _ascending(sympy, p, v):
+    """Ascending Fraction coefficients of the sympy polynomial p in v; [] for 0."""
+    coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(sympy.Poly(p, v).all_coeffs())]
+    return coeffs if any(coeffs) else []
+
+
+@settings(max_examples=60, deadline=None)
+@given(field_elems(), field_elems())
+def test_canonical_form_matches_sympy(x, y):
+    """Each op returns primitive n and d with positive leading entries, and
+    num and den equal sympy's cancel of the same expression, its denominator
+    scaled to a primitive integer polynomial with positive leading coefficient."""
+    sympy = pytest.importorskip("sympy")
+    v = sympy.Symbol("q")
+    sx, sy = _to_sympy(sympy, x, v), _to_sympy(sympy, y, v)
+    cases = [(x + y, sx + sy), (x - y, sx - sy), (x * y, sx * sy), (x ** 3, sx ** 3)]
+    if not y.is_zero:
+        cases.append((x / y, sx / sy))
+    if not x.is_zero:
+        cases.append((x ** -2, sx ** -2))
+    for result, expr in cases:
+        assert isinstance(result.c, Fraction)
+        if result.is_zero:
+            assert (result.c, result.n, result.d) == (0, (), (1,))
+        for vec in (result.n, result.d) if result.n else (result.d,):
+            assert all(type(c) is int for c in vec)
+            assert vec[-1] > 0 and math.gcd(*vec) == 1
+        num, den = (_ascending(sympy, p, v) for p in sympy.fraction(sympy.cancel(expr)))
+        scale = Fraction(math.lcm(*(c.denominator for c in den)),
+                         math.gcd(*(c.numerator for c in den)))
+        if den[-1] < 0:
+            scale = -scale
+        assert result.num.coefficients == [c * scale for c in num]
+        assert result.den.coefficients == [c * scale for c in den]
 
 
 @settings(max_examples=80, deadline=None)
