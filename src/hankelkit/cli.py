@@ -39,6 +39,7 @@ SIZE_LIMITS = {"n": 22, "m": 35, "depth": 22, "rows": 22, "n_max": 10, "m_max": 
 VERIFY_SIZE_LIMIT = 23
 # det's time follows 2 n + m too, as its matrix reads c(m .. 2n - 2 + m): on
 # c:q^2,q,q^2 at 46 it took 23-35 s for n 16-22, at 47 58 s for n = 22.
+# closed-form --cross-check takes the same limit: its oracle is such a det.
 DET_SIZE_LIMIT = 46
 # closed-form's follows n + m: QHilbert grows with n, CBqm and Andrewsm with m.
 # At 28 QHilbert took 34-43 s at n = 22; at 29 it took 37-53 s for n 20-22.
@@ -319,7 +320,8 @@ def main(argv=None) -> int:
                                  f"exceeds the limit {limit}")
         if args.command == "verify" and 2 * args.n_max + args.m_max > VERIFY_SIZE_LIMIT:
             raise ValueError(f"2 * --n-max + --m-max exceeds the limit {VERIFY_SIZE_LIMIT}")
-        if args.command == "det" and 2 * args.n + args.m > DET_SIZE_LIMIT:
+        if ((args.command == "det" or getattr(args, "cross_check", False))
+                and 2 * args.n + args.m > DET_SIZE_LIMIT):
             raise ValueError(f"2 * --n + --m exceeds the limit {DET_SIZE_LIMIT}")
         if args.command == "closed-form" and args.n + args.m > CLOSED_FORM_SIZE_LIMIT:
             raise ValueError(f"--n + --m exceeds the limit {CLOSED_FORM_SIZE_LIMIT}")

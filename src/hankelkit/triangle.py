@@ -15,9 +15,23 @@ from .field import F_ONE, F_ZERO, FieldElem, as_field
 
 
 def _lookup(values):
-    """A table or a callable as (function of the index, table length or None)."""
+    """A table or a callable as (function of the index, table length or None).
+
+    A callable is called at most once per index: the returned function keeps
+    each value, passed through as_field, in its own dict, filled on first
+    read.  So the callable must be pure, its value a function of the index
+    alone.  A read that raises stores nothing and raises again on the next
+    read.
+    """
     if callable(values):
-        return values, None
+        memo = {}
+
+        def read(k):
+            if k not in memo:
+                memo[k] = as_field(values(k))
+            return memo[k]
+
+        return read, None
     table = [as_field(v) for v in values]
     return table.__getitem__, len(table)
 
@@ -26,7 +40,8 @@ class JacobiParams:
     """The (s, t) coefficient pair of the three-term recurrence.
 
     Accepts finite tables (lists) or closed-form callables; ``length`` is the
-    number of supported indices (None for unbounded callables).
+    number of supported indices (None for unbounded callables).  A callable
+    must be pure: each object calls it at most once per index (see _lookup).
     """
 
     def __init__(self, s, t, length=None):
@@ -39,10 +54,10 @@ class JacobiParams:
         self.length = length
 
     def s(self, k: int) -> FieldElem:
-        return as_field(self._s(k))
+        return self._s(k)
 
     def t(self, k: int) -> FieldElem:
-        return as_field(self._t(k))
+        return self._t(k)
 
     def s_list(self, count: int):
         return [self.s(k) for k in range(count)]
@@ -52,13 +67,17 @@ class JacobiParams:
 
 
 class TSeq:
-    """Weight sequence T(k) for the zero-s recurrence; table or callable."""
+    """Weight sequence T(k) for the zero-s recurrence; table or callable.
+
+    A callable must be pure: each TSeq calls it at most once per index (see
+    _lookup).
+    """
 
     def __init__(self, T):
         self._T, _ = _lookup(T)
 
     def __call__(self, k: int) -> FieldElem:
-        return as_field(self._T(k))
+        return self._T(k)
 
     @classmethod
     def constant(cls, value) -> "TSeq":

@@ -14,7 +14,7 @@ import random
 import time
 from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from itertools import permutations
 from math import comb, gcd
 
@@ -326,45 +326,47 @@ def _suite_tables(spec: SuiteSpec):
     ])
 
 
-def _zero_s_residual(p: QParams, row: int, col: int) -> FieldElem:
+def _zero_s_residual(T: TSeq, A, row: int, col: int) -> FieldElem:
     """A(row + 1, col) - A(row, col - 1) - T(col) A(row, col + 1) for the
-    closed-form q-moment triangle: zero when the zero-s recurrence holds."""
-    return (
-        qmoment_A(row + 1, col, p)
-        - qmoment_A(row, col - 1, p)
-        - qmoment_T(col, p) * qmoment_A(row, col + 1, p)
-    )
+    closed-form weights T and triangle A of one parameter point: zero when
+    the zero-s recurrence holds."""
+    return A(row + 1, col) - A(row, col - 1) - T(col) * A(row, col + 1)
 
 
-def _recurrence_holds(p: QParams, odd: int, bound: int, n: int, m: int) -> bool:
+def _recurrence_holds(T: TSeq, A, odd: int, bound: int, n: int, m: int) -> bool:
     """The recurrence into row 2n + 2 - odd holds at every column of its
     parity up to 2 bound + odd."""
     return all(
-        _zero_s_residual(p, 2 * n + 1 - odd, 2 * k + odd).is_zero for k in range(bound + 1)
+        _zero_s_residual(T, A, 2 * n + 1 - odd, 2 * k + odd).is_zero for k in range(bound + 1)
     )
 
 
-def _closed_A_matches_triangle(p: QParams, n: int) -> bool:
-    tri = build_zero_s_triangle(TSeq(partial(qmoment_T, p=p)), 2 * n)
+def _closed_A_matches_triangle(T: TSeq, A, n: int) -> bool:
+    tri = build_zero_s_triangle(T, 2 * n)
     for row in range(2 * n + 1):
         for col in range(row + 1):
-            if tri.a(row, col) != qmoment_A(row, col, p):
+            if tri.a(row, col) != A(row, col):
                 return False
     return True
 
 
 def _suite_thm1_grid(spec: SuiteSpec):
+    """Each parameter point shares one table of qmoment_T and one of
+    qmoment_A among its cases.  The tables fill as the cases read them, so a
+    value's cost lands in the first case that needs it, and they are dropped
+    with the case list."""
     bound = spec.n_max
     cases = []
     for p in thm1_sample_set(spec.seed):
+        T, A = TSeq(partial(qmoment_T, p=p)), cache(partial(qmoment_A, p=p))
         cases += _grid(range(bound + 1), (0,), [
             (_bool_case, "even-row recurrence residual", str(p),
-             partial(_recurrence_holds, p, 0, bound)),
+             partial(_recurrence_holds, T, A, 0, bound)),
             (_bool_case, "odd-row recurrence residual", str(p),
-             partial(_recurrence_holds, p, 1, bound)),
+             partial(_recurrence_holds, T, A, 1, bound)),
         ]) + _grid((bound,), (0,), [
             (_bool_case, "closed A equals recurrence triangle", str(p),
-             _at_n(_closed_A_matches_triangle, p)),
+             _at_n(_closed_A_matches_triangle, T, A)),
         ])
     return cases
 

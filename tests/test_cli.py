@@ -352,6 +352,16 @@ class TestSizeLimits:
         assert f"error: {rule} exceeds the limit {limit}" in err
         assert time.perf_counter() - start < 1.0
 
+    def test_cross_check_takes_the_det_limit_at_once(self, capsys):
+        # --n 22 --m 6 passes the closed-form limits, but its oracle is a det
+        # of order 22 at shift 6, which det itself refuses
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "closed-form", "CBqm", "--n", "22", "--m", "6",
+                                 "--cross-check")
+        assert code == 2 and out == ""
+        assert f"error: 2 * --n + --m exceeds the limit {DET_SIZE_LIMIT}" in err
+        assert time.perf_counter() - start < 1.0
+
     def test_benchmark_sizes_are_allowed(self):
         assert SIZE_LIMITS["n"] >= 10 and SIZE_LIMITS["m"] >= 1
         assert SIZE_LIMITS["depth"] >= 10 and SIZE_LIMITS["rows"] >= 18

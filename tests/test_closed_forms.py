@@ -17,6 +17,7 @@ from hankelkit.closed_forms import (
     qmoment_A,
     qmoment_T,
     qmoment_det,
+    rising_ratio,
 )
 from hankelkit.errors import MissingParameter, PoleInFormula
 from hankelkit.field import as_field, q
@@ -113,6 +114,19 @@ class TestClassical:
 
     def test_triangle_entry_base_case(self):
         assert classical_A(0, 0, 4, 1, 2) == 1
+
+    @pytest.mark.parametrize("a, b, c", [(4, 1, 2), (3, 1, 1), (5, 2, 3)])
+    def test_zero_s_recurrence_holds(self, a, b, c):
+        # (3, 1, 1) and (5, 2, 3) have non-constant weights, unlike (4, 1, 2)
+        for row in range(10):
+            for col in range(row + 2):
+                residual = (classical_A(row + 1, col, a, b, c)
+                            - classical_A(row, col - 1, a, b, c)
+                            - classical_T(col, a, b, c) * classical_A(row, col + 1, a, b, c))
+                assert residual == 0, (row, col)
+        for n in range(6):
+            assert classical_A(2 * n, 0, a, b, c) == rising_ratio(n, a, b, c)
+            assert classical_A(2 * n + 1, 0, a, b, c) == 0
 
     def test_det_two_by_two_symbolic(self):
         for (a, b, c) in ((4, 1, 2), (3, 1, 1), (5, 2, 3), (7, 3, 2)):

@@ -1,12 +1,14 @@
 """Recurrence engines: tables, contraction, rescaling, cross sums."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
 import pytest
 
 from hankelkit.closed_forms import QParams, qmoment_T
+from hankelkit.errors import PoleInFormula
 from hankelkit.field import as_field, q
 from hankelkit.sequences import PochRatioSeq
 from hankelkit.triangle import (
@@ -220,3 +222,53 @@ def test_zero_s_triangle_reads_the_weight_table_up_to_rows_minus_two():
     assert tri.a(6, 0) == values[0] * tri.a(5, 1)
     with pytest.raises(IndexError):
         build_zero_s_triangle(TSeq(values), 7)
+
+
+def counting(fn):
+    """fn with a Counter of the indices it is called at."""
+    calls = Counter()
+
+    def wrapped(k):
+        calls[k] += 1
+        return fn(k)
+
+    return wrapped, calls
+
+
+def test_contracted_triangle_reads_each_weight_once():
+    # rows 0..17 read s(0..16) and t(0..15), so T(0..32); s and t share T(2k)
+    # and T(2k + 1), and each row reads them again
+    T, calls = counting(lambda k: as_field(k + 1))
+    build_triangle(contract(TSeq(T)), 17)
+    assert calls == Counter(range(33))
+
+
+def test_callable_parameters_are_read_once_per_object():
+    s, s_calls = counting(lambda k: as_field(k))
+    t, t_calls = counting(lambda k: q + k)
+    jp = JacobiParams(s, t)
+    scaled = rescale(jp, 2)
+    for _ in range(3):
+        assert jp.s_list(4) == [as_field(k) for k in range(4)]
+        assert scaled.t_list(3) == [4 * (q + k) for k in range(3)]
+    assert s_calls == Counter(range(4)) and t_calls == Counter(range(3))
+    # another object over the same callable keeps its own values
+    JacobiParams(s, t).s(0)
+    assert s_calls[0] == 2
+
+
+def test_a_read_that_raises_raises_again():
+    def pole_at_3(k):
+        if k == 3:
+            raise PoleInFormula("weight denominator vanishes at k = 3")
+        return as_field(1)
+
+    fn, calls = counting(pole_at_3)
+    T = TSeq(fn)
+    for _ in range(2):
+        with pytest.raises(PoleInFormula):
+            T(3)
+    assert calls[3] == 2
+    assert T(2) == as_field(1)
+    with pytest.raises(PoleInFormula):
+        build_zero_s_triangle(T, 5)

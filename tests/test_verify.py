@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -147,6 +148,20 @@ class TestRunSuite:
         first_csv = report_to_csv(run_suite(spec), include_timings=False)
         second_csv = report_to_csv(run_suite(spec), include_timings=False)
         assert first_csv == second_csv
+
+    def test_thm1_grid_does_not_depend_on_call_order(self):
+        # the cases of one parameter point share tables that fill as they are read
+        spec = SuiteSpec("thm1-grid", n_max=3)
+
+        def timing_free(records):
+            return [replace(r, wall_ms=0.0) for r in records]
+
+        forward = timing_free(run_suite(spec).records)
+        assert timing_free(run_suite(spec).records) == forward
+        cases = build_cases(spec)
+        assert timing_free([_run_case(c) for c in reversed(cases)][::-1]) == forward
+        # the same cases again, now on filled tables
+        assert timing_free([_run_case(c) for c in cases]) == forward
 
 
 def _sha256(text):
