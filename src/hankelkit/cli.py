@@ -41,6 +41,9 @@ VERIFY_SIZE_LIMIT = 23
 # c:q^2,q,q^2 at 46 it took 23-35 s for n 16-22, at 47 58 s for n = 22.
 # closed-form --cross-check takes the same limit: its oracle is such a det.
 DET_SIZE_LIMIT = 46
+# With --cross-check, closed-form adds that det to its own time.  At 46 CBqm took
+# 53 s at n = 22 (Andrewsm 48, QHilbert 27); at 45 the three took at most 43 s.
+CROSS_CHECK_SIZE_LIMIT = 45
 # closed-form's follows n + m: QHilbert grows with n, CBqm and Andrewsm with m.
 # At 28 QHilbert took 34-43 s at n = 22; at 29 it took 37-53 s for n 20-22.
 CLOSED_FORM_SIZE_LIMIT = 28
@@ -323,6 +326,10 @@ def main(argv=None) -> int:
         if ((args.command == "det" or getattr(args, "cross_check", False))
                 and 2 * args.n + args.m > DET_SIZE_LIMIT):
             raise ValueError(f"2 * --n + --m exceeds the limit {DET_SIZE_LIMIT}")
+        if (args.command == "closed-form" and args.cross_check
+                and 2 * args.n + args.m > CROSS_CHECK_SIZE_LIMIT):
+            raise ValueError(f"2 * --n + --m exceeds the limit {CROSS_CHECK_SIZE_LIMIT} "
+                             "with --cross-check")
         if args.command == "closed-form" and args.n + args.m > CLOSED_FORM_SIZE_LIMIT:
             raise ValueError(f"--n + --m exceeds the limit {CLOSED_FORM_SIZE_LIMIT}")
         return args.fn(args)

@@ -1,14 +1,15 @@
 """Exact arithmetic for Q, Q[q] and the rational function field Q(q).
 
-Everything here is exact: rationals are ``fractions.Fraction``, polynomials
-keep Fraction coefficients, and a FieldElem is a reduced ratio of two
-polynomials.  No floating point appears anywhere in the package.
-
-A polynomial is stored as a rational *content* times a primitive integer
-coefficient vector (ascending degree, trailing coefficient nonzero, positive
-leading entry), and a FieldElem as one content and two coprime such vectors,
-c n / d.  Products of primitive vectors stay primitive, so the hot paths
-(convolution, exact division, gcd) run on plain Python ints.
+Everything here is exact, and no floating point appears anywhere in the
+package.  A *primitive vector* is an integer coefficient tuple (ascending
+degree, trailing coefficient nonzero, positive leading entry, gcd 1).  A
+FieldElem is p n / (r d): two coprime ints p and r > 0 and two coprime
+primitive vectors n and d, so by Gauss's lemma each element of Q(q) has
+exactly one such form (Knuth, TAOCP vol. 2, 4.6.1).  A Polynomial, the
+public view returned by ``num`` and ``den``, is a ``Fraction`` content
+times one primitive vector.  Products of primitive vectors stay primitive,
+so the hot paths (convolution, exact division, gcd, rendering) run on
+plain Python ints.
 
 Long vectors are multiplied by Kronecker substitution (Harvey, JSC 2009):
 a vector is packed into one int as its value at a power of 2, the ints are
@@ -76,6 +77,13 @@ and not at all when g = 1.  In one repetition of the benchmark's
 divisions from 43 364 to 27 584 and the time inside FieldElem additions
 from 2.83 to 2.02 s; the median repetition over ten runs went from 6.59 to
 5.58 s.
+
+Contents are ints, not ``Fraction``s.  A product cancels the two contents
+across each other with two ``math.gcd`` calls and builds no object, and
+``render`` prints coefficient k as p (k/g) / (r/g) with g = gcd(k, r); when
+r = 1 neither needs a gcd.  Over ten alternating pairs of ``roundtrip-verify``
+runs the median repetition went from 2.16 to 1.73 s, all of it in the
+``verify all`` part (reference seconds, Python 3.11, one core).
 """
 
 from __future__ import annotations
@@ -328,16 +336,18 @@ def _gcd_cofactors(f, g):
 # ---------------------------------------------------------------------------
 
 
-def _combine(x: Fraction, a, y: Fraction, b):
-    """x a + y b for nonzero x, y and primitive vectors a, b, as (content,
-    primitive vector), () when zero: g (x/g a + y/g b) with integers x/g and
-    y/g for g = gcd(x num, y num) / lcm(x den, y den)."""
-    g = math.gcd(x.numerator, y.numerator)
-    lcm = math.lcm(x.denominator, y.denominator)
-    xg = x.numerator // g * (lcm // x.denominator)
-    yg = y.numerator // g * (lcm // y.denominator)
+def _combine(xp, xr, a, yp, yr, b):
+    """xp/xr a + yp/yr b for nonzero reduced contents and primitive a, b, as
+    (p, r, primitive vector), (0, 1, ()) when zero: g/l (x' a + y' b) for
+    g = gcd(xp, yp) and l = lcm(xr, yr), where g is coprime to l, so only
+    the content of x' a + y' b is reduced against l."""
+    g = math.gcd(xp, yp)
+    lcm = math.lcm(xr, yr)
+    xg = xp // g * (lcm // xr)
+    yg = yp // g * (lcm // yr)
     prim, cont = _primitive(_add_int(tuple(xg * v for v in a), tuple(yg * v for v in b)))
-    return Fraction(g * cont, lcm), prim
+    h = math.gcd(cont, lcm)
+    return g * cont // h, lcm // h, prim
 
 
 class Polynomial:
@@ -347,19 +357,9 @@ class Polynomial:
 
     def __init__(self, values=()):
         vals = [Fraction(v) for v in values]
-        while vals and vals[-1] == 0:
-            vals.pop()
-        if not vals:
-            self.content = Fraction(0)
-            self.coeffs = ()
-            return
-        den_lcm = 1
-        for v in vals:
-            den_lcm = den_lcm * v.denominator // math.gcd(den_lcm, v.denominator)
-        ints = [int(v * den_lcm) for v in vals]
-        prim, cont = _primitive(ints)
+        den_lcm = math.lcm(*(v.denominator for v in vals))
+        self.coeffs, cont = _primitive([v.numerator * (den_lcm // v.denominator) for v in vals])
         self.content = Fraction(cont, den_lcm)
-        self.coeffs = prim
 
     @classmethod
     def _make(cls, content, coeffs):
@@ -375,9 +375,7 @@ class Polynomial:
     @classmethod
     def constant(cls, value) -> "Polynomial":
         v = Fraction(value)
-        if v == 0:
-            return P_ZERO
-        return cls._make(v, (1,))
+        return cls._make(v, (1,) if v else ())
 
     @property
     def is_zero(self) -> bool:
@@ -406,7 +404,10 @@ class Polynomial:
             return other
         if other.is_zero:
             return self
-        return Polynomial._make(*_combine(self.content, self.coeffs, other.content, other.coeffs))
+        x, y = self.content, other.content
+        p, r, coeffs = _combine(x.numerator, x.denominator, self.coeffs,
+                                y.numerator, y.denominator, other.coeffs)
+        return Polynomial._make(Fraction(p, r), coeffs)
 
     def __neg__(self):
         if self.is_zero:
@@ -466,7 +467,7 @@ class Polynomial:
         return hash((self.content, self.coeffs))
 
     def __str__(self):
-        return _render_poly(self)
+        return _render_poly(self.content.numerator, self.content.denominator, self.coeffs)
 
     def __repr__(self):
         return f"Polynomial({self.coefficients!r})"
@@ -489,19 +490,27 @@ def _as_poly(v) -> Polynomial:
 # ---------------------------------------------------------------------------
 
 
-class FieldElem:
-    """Element of Q(q), kept in canonical form c * n / d.
+def _horner(v, a, b):
+    """b^(len v - 1) v(a/b), by Horner's rule on integers."""
+    acc, scale = 0, 1
+    for c in reversed(v):
+        acc, scale = acc * a + c * scale, scale * b
+    return acc
 
-    ``c`` is a Fraction; ``n`` and ``d`` are primitive integer vectors
-    (ascending, positive leading entry), coprime over Z[q].  Zero is
-    (0, (), (1,)).  ``num`` and ``den`` are the Polynomial views c * n and d.
-    Equality and hashing compare the triple.  Every element is kept reduced:
-    ``__init__`` reduces, and each ``_raw`` site builds a triple that is
-    coprime by construction.  Addition relies on this invariant to reduce
-    against gcd(b, d) only.
+
+class FieldElem:
+    """Element of Q(q), kept in canonical form p n / (r d).
+
+    ``p`` and ``r`` are coprime ints with r > 0; ``n`` and ``d`` are
+    coprime primitive vectors.  Zero is (0, 1, (), (1,)).  ``num`` and
+    ``den`` are the Polynomial views p/r n and d, whose content stays a
+    ``Fraction``.  Equality and hashing compare the four slots.  Every
+    element is kept reduced: ``__init__`` reduces, and each ``_raw`` site
+    builds a form that is coprime by construction.  Addition relies on this
+    invariant to reduce against gcd(b, d) only.
     """
 
-    __slots__ = ("c", "n", "d")
+    __slots__ = ("p", "r", "n", "d")
 
     def __init__(self, num, den=None):
         num = _as_poly(num)
@@ -509,20 +518,21 @@ class FieldElem:
         if den.is_zero:
             raise DivisionByZero("zero denominator in field element")
         if num.is_zero:
-            self.c, self.n, self.d = Fraction(0), (), (1,)
+            self.p, self.r, self.n, self.d = 0, 1, (), (1,)
             return
         _, self.n, self.d = _gcd_cofactors(num.coeffs, den.coeffs)
-        self.c = num.content / den.content
+        c = num.content / den.content
+        self.p, self.r = c.numerator, c.denominator
 
     @classmethod
-    def _raw(cls, c, n, d):
+    def _raw(cls, p, r, n, d):
         e = object.__new__(cls)
-        e.c, e.n, e.d = c, n, d
+        e.p, e.r, e.n, e.d = p, r, n, d
         return e
 
     @property
     def num(self) -> Polynomial:
-        return Polynomial._make(self.c, self.n)
+        return Polynomial._make(Fraction(self.p, self.r), self.n)
 
     @property
     def den(self) -> Polynomial:
@@ -539,7 +549,7 @@ class FieldElem:
     def as_rational(self) -> Fraction:
         if not self.is_constant:
             raise ValueError(f"{self} is not a rational constant")
-        return self.c
+        return Fraction(self.p, self.r)
 
     def __bool__(self):
         return bool(self.n)
@@ -558,10 +568,11 @@ class FieldElem:
         b, d = self.d, other.d
         if b == d:
             g, b_cof, d_cof = d, (1,), (1,)
-            c, n = _combine(self.c, self.n, other.c, other.n)
+            p, r, n = _combine(self.p, self.r, self.n, other.p, other.r, other.n)
         else:
             g, b_cof, d_cof = _gcd_cofactors(b, d)
-            c, n = _combine(self.c, _mul_int(self.n, d_cof), other.c, _mul_int(other.n, b_cof))
+            p, r, n = _combine(self.p, self.r, _mul_int(self.n, d_cof),
+                               other.p, other.r, _mul_int(other.n, b_cof))
         if not n:
             return F_ZERO
         h, n, g_cof = _gcd_cofactors(n, g)
@@ -569,12 +580,12 @@ class FieldElem:
             den = _mul_int(b_cof, d)
         else:
             den = _mul_int(_mul_int(b_cof, d_cof), g_cof)
-        return FieldElem._raw(c, n, den)
+        return FieldElem._raw(p, r, n, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElem._raw(-self.c, self.n, self.d)
+        return FieldElem._raw(-self.p, self.r, self.n, self.d)
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -596,14 +607,20 @@ class FieldElem:
             return F_ZERO
         _, n1, d2 = _gcd_cofactors(self.n, other.d)
         _, n2, d1 = _gcd_cofactors(other.n, self.d)
-        return FieldElem._raw(self.c * other.c, _mul_int(n1, n2), _mul_int(d1, d2))
+        p1, r1, p2, r2 = self.p, self.r, other.p, other.r
+        if r1 != 1 or r2 != 1:
+            # each content is in lowest terms, so only the cross pairs can cancel
+            g1, g2 = math.gcd(p1, r2), math.gcd(p2, r1)
+            p1, r1, p2, r2 = p1 // g1, r1 // g2, p2 // g2, r2 // g1
+        return FieldElem._raw(p1 * p2, r1 * r2, _mul_int(n1, n2), _mul_int(d1, d2))
 
     __rmul__ = __mul__
 
     def reciprocal(self) -> "FieldElem":
         if not self.n:
             raise DivisionByZero("reciprocal of zero")
-        return FieldElem._raw(1 / self.c, self.d, self.n)
+        sign = -1 if self.p < 0 else 1
+        return FieldElem._raw(sign * self.r, sign * self.p, self.d, self.n)
 
     def __truediv__(self, other):
         other = _coerce(other)
@@ -626,28 +643,30 @@ class FieldElem:
             return F_ONE
         if e < 0:
             return self.reciprocal() ** (-e)
-        # n and d are coprime, so are their powers
-        return FieldElem._raw(self.c ** e, _pow_int(self.n, e), _pow_int(self.d, e))
+        # n and d are coprime, so are their powers, and so are p^e and r^e
+        return FieldElem._raw(self.p ** e, self.r ** e, _pow_int(self.n, e), _pow_int(self.d, e))
 
     def specialize(self, point) -> Fraction:
         """Exact value at q = point; raises PoleAtPoint on a denominator root."""
         point = Fraction(point)
-        dv = self.den(point)
+        a, b = point.numerator, point.denominator
+        nv, dv = _horner(self.n, a, b), _horner(self.d, a, b)
         if dv == 0:
             raise PoleAtPoint(point)
-        return self.num(point) / dv
+        return Fraction(self.p * nv * b ** len(self.d), self.r * dv * b ** len(self.n))
 
     def __eq__(self, other):
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return self.c == other.c and self.n == other.n and self.d == other.d
+        return (self.p == other.p and self.r == other.r
+                and self.n == other.n and self.d == other.d)
 
     def __hash__(self):
         # a constant equals its Fraction (and int) value, so it hashes like it
         if self.is_constant:
-            return hash(self.c)
-        return hash((self.c, self.n, self.d))
+            return hash(self.p) if self.r == 1 else hash(Fraction(self.p, self.r))
+        return hash((self.p, self.r, self.n, self.d))
 
     def __str__(self):
         return render(self)
@@ -656,15 +675,15 @@ class FieldElem:
         return f"FieldElem({render(self)!r})"
 
 
-F_ZERO = FieldElem._raw(Fraction(0), (), (1,))
-F_ONE = FieldElem._raw(Fraction(1), (1,), (1,))
+F_ZERO = FieldElem._raw(0, 1, (), (1,))
+F_ONE = FieldElem._raw(1, 1, (1,), (1,))
 
 
 def _coerce(v):
     if isinstance(v, FieldElem):
         return v
     if isinstance(v, (int, Fraction)):
-        return FieldElem._raw(Fraction(v), (1,), (1,)) if v else F_ZERO
+        return FieldElem._raw(v.numerator, v.denominator, (1,), (1,)) if v else F_ZERO
     if isinstance(v, Polynomial):
         return FieldElem(v)
     return None
@@ -679,7 +698,7 @@ def as_field(v) -> FieldElem:
 
 
 #: the indeterminate, as a field element
-q = FieldElem._raw(Fraction(1), (0, 1), (1,))
+q = FieldElem._raw(1, 1, (0, 1), (1,))
 
 
 def specialize(x: FieldElem, point) -> Fraction:
@@ -692,50 +711,49 @@ def specialize(x: FieldElem, point) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _render_frac(v: Fraction) -> str:
-    if v.denominator == 1:
-        return str(v.numerator)
-    return f"{v.numerator}/{v.denominator}"
+def _ratio_str(p, r, k) -> str:
+    """p k / r in lowest terms, as "a" or "a/b": with gcd(p, r) = 1 and
+    g = gcd(k, r) it is p (k/g) / (r/g), and r = 1 needs no gcd."""
+    if r == 1:
+        return str(p * k)
+    g = math.gcd(k, r)
+    return str(p * (k // g)) if g == r else f"{p * (k // g)}/{r // g}"
 
 
-def _render_term(coeff: Fraction, deg: int) -> str:
-    c = abs(coeff)
-    if deg == 0:
-        return _render_frac(c)
-    qpart = "q" if deg == 1 else f"q^{deg}"
-    if c == 1:
-        return qpart
-    return f"{_render_frac(c)}*{qpart}"
-
-
-def _render_poly(p: Polynomial) -> str:
-    if p.is_zero:
+def _render_poly(p, r, coeffs) -> str:
+    """p/r times the vector, highest degree first; gcd(p, r) = 1, r > 0."""
+    if not coeffs:
         return "0"
     parts = []
-    for deg in range(p.degree, -1, -1):
-        c = p.content * p.coeffs[deg]
-        if c == 0:
+    size = abs(p)
+    for deg in range(len(coeffs) - 1, -1, -1):
+        k = coeffs[deg]
+        if not k:
             continue
-        term = _render_term(c, deg)
-        if not parts:
-            parts.append(f"-{term}" if c < 0 else term)
+        term = _ratio_str(size, r, abs(k))
+        if deg:
+            qpart = "q" if deg == 1 else f"q^{deg}"
+            term = qpart if term == "1" else f"{term}*{qpart}"
+        if (p < 0) != (k < 0):
+            parts.append(f"- {term}" if parts else f"-{term}")
         else:
-            parts.append(f"- {term}" if c < 0 else f"+ {term}")
+            parts.append(f"+ {term}" if parts else term)
     return " ".join(parts)
 
 
 def render(x: FieldElem) -> str:
     """Canonical pretty form; re-parses to an equal element."""
     if x.d == (1,):
-        return _render_poly(x.num)
-    return f"({_render_poly(x.num)}) / ({_render_poly(x.den)})"
+        return _render_poly(x.p, x.r, x.n)
+    return f"({_render_poly(x.p, x.r, x.n)}) / ({_render_poly(1, 1, x.d)})"
 
 
 def coeff_strings(p: Polynomial):
     """Dense ascending coefficient strings ("p" or "p/q"), for JSON output."""
     if p.is_zero:
         return ["0"]
-    return [_render_frac(c) for c in p.coefficients]
+    c = p.content
+    return [_ratio_str(c.numerator, c.denominator, k) for k in p.coeffs]
 
 
 # ---------------------------------------------------------------------------

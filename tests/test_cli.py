@@ -7,8 +7,8 @@ import time
 
 import pytest
 
-from hankelkit.cli import (CLOSED_FORM_SIZE_LIMIT, DET_SIZE_LIMIT, SIZE_LIMITS,
-                           VERIFY_SIZE_LIMIT, main)
+from hankelkit.cli import (CLOSED_FORM_SIZE_LIMIT, CROSS_CHECK_SIZE_LIMIT, DET_SIZE_LIMIT,
+                           SIZE_LIMITS, VERIFY_SIZE_LIMIT, main)
 from hankelkit.field import parse_field_expr, q
 
 
@@ -360,6 +360,19 @@ class TestSizeLimits:
                                  "--cross-check")
         assert code == 2 and out == ""
         assert f"error: 2 * --n + --m exceeds the limit {DET_SIZE_LIMIT}" in err
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("formula", ["CBqm", "Andrewsm", "QHilbert"])
+    def test_cross_check_pair_limit_exits_2_at_once(self, capsys, formula):
+        # one past the pair's limit at the largest --n; det alone would accept it
+        m = CROSS_CHECK_SIZE_LIMIT + 1 - 2 * SIZE_LIMITS["n"]
+        assert 2 * SIZE_LIMITS["n"] + m <= DET_SIZE_LIMIT
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "closed-form", formula, "--n", str(SIZE_LIMITS["n"]),
+                                 "--m", str(m), "--cross-check")
+        assert code == 2 and out == ""
+        assert (f"error: 2 * --n + --m exceeds the limit {CROSS_CHECK_SIZE_LIMIT} "
+                "with --cross-check") in err
         assert time.perf_counter() - start < 1.0
 
     def test_benchmark_sizes_are_allowed(self):

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hankelkit.errors import DivisionByZero, ParseError, PoleAtPoint
@@ -14,6 +14,7 @@ from hankelkit.field import (
     FieldElem,
     Polynomial,
     as_field,
+    coeff_strings,
     parse_field_expr,
     q,
     render,
@@ -93,6 +94,18 @@ class TestFieldArith:
             assert len({elem, value}) == 1
         assert len({FieldElem(1), 1}) == 1
         assert {q: "x"}[as_field(q)] == "x"
+        assert hash(as_field(Fraction(-3, 4))) == hash(Fraction(-3, 4))
+        assert as_field(5) == 5
+        assert {Fraction(1, 2): "half"}[as_field(Fraction(1, 2))] == "half"
+
+    @pytest.mark.parametrize("text", ["-5/6", "(-3/4*q - 1) / (q + 2)", "-7/2*q^2 + 1"])
+    def test_negative_content_keeps_positive_denominator(self, text):
+        x = parse_field_expr(text)
+        assert x.p < 0
+        # an odd power of a negative content is negative: the sign moves to p
+        for y, back in ((x.reciprocal(), x), (x ** -3, x ** 3)):
+            assert y.p < 0 and y.r > 0 and math.gcd(y.p, y.r) == 1
+            assert y * back == 1
 
 
 class TestPow:
@@ -219,6 +232,47 @@ def test_render_parse_round_trip(x):
     assert parse_field_expr(render(x)) == x
 
 
+def _oracle_render_poly(p: Polynomial) -> str:
+    """The Fraction-per-coefficient rendering that the integer render replaced."""
+    if p.is_zero:
+        return "0"
+    parts = []
+    for deg in range(p.degree, -1, -1):
+        c = p.content * p.coeffs[deg]
+        if c == 0:
+            continue
+        size = abs(c)
+        text = str(size)
+        if deg:
+            qpart = "q" if deg == 1 else f"q^{deg}"
+            text = qpart if size == 1 else f"{text}*{qpart}"
+        if not parts:
+            parts.append(f"-{text}" if c < 0 else text)
+        else:
+            parts.append(f"- {text}" if c < 0 else f"+ {text}")
+    return " ".join(parts)
+
+
+def _oracle_render(x: FieldElem) -> str:
+    if x.den == Polynomial([1]):
+        return _oracle_render_poly(x.num)
+    return f"({_oracle_render_poly(x.num)}) / ({_oracle_render_poly(x.den)})"
+
+
+@settings(max_examples=120, deadline=None)
+@given(field_elems())
+@example(parse_field_expr("(3/4*q + 1) / (q + 2)"))
+@example(parse_field_expr("-5/6"))
+@example(parse_field_expr("(-6/35*q^3 + 10/21*q - 4) / (q^2 + 1)"))
+@example(F_ZERO)
+def test_integer_render_matches_fraction_render(x):
+    assert str(x) == _oracle_render(x)
+    assert str(x.num) == _oracle_render_poly(x.num)
+    assert parse_field_expr(str(x)) == x
+    for p in (x.num, x.den):
+        assert coeff_strings(p) == ([str(c) for c in p.coefficients] or ["0"])
+
+
 @settings(max_examples=80, deadline=None)
 @given(field_elems())
 def test_render_matches_sympy(x):
@@ -261,9 +315,10 @@ def test_canonical_form_matches_sympy(x, y):
     if not x.is_zero:
         cases.append((x ** -2, sx ** -2))
     for result, expr in cases:
-        assert isinstance(result.c, Fraction)
+        assert type(result.p) is int and type(result.r) is int
+        assert result.r > 0 and math.gcd(result.p, result.r) == 1
         if result.is_zero:
-            assert (result.c, result.n, result.d) == (0, (), (1,))
+            assert (result.p, result.r, result.n, result.d) == (0, 1, (), (1,))
         for vec in (result.n, result.d) if result.n else (result.d,):
             assert all(type(c) is int for c in vec)
             assert vec[-1] > 0 and math.gcd(*vec) == 1
@@ -284,5 +339,7 @@ def test_specialize_is_ring_homomorphism(x, y, point):
         vx = x.specialize(point)
         vy = y.specialize(point)
     except PoleAtPoint:
+        assert 0 in (x.den(point), y.den(point))
         return
     assert lhs == vx * vy
+    assert vx == x.num(point) / x.den(point)
