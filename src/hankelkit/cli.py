@@ -44,6 +44,14 @@ DET_SIZE_LIMIT = 46
 # With --cross-check, closed-form adds that det to its own time.  At 46 CBqm took
 # 53 s at n = 22 (Andrewsm 48, QHilbert 27); at 45 the three took at most 43 s.
 CROSS_CHECK_SIZE_LIMIT = 45
+# With --engine bareiss, det and closed-form --cross-check follow 3 n + m, as
+# Bareiss grows faster in n than in m: on c:q^2,q,q^2 at 46 it took 18-39 s
+# for n 8-15, at 47 25-47 s for n 9-15, and 66 s at (n, m) = (16, 0).
+BAREISS_SIZE_LIMIT = 46
+# det --cross-check adds the Jacobi route (jacobi_from_moments, det_from_jacobi)
+# to the elimination, 103 s at (22, 2): at 44 the pair took 49-62 s for n 19-22,
+# at 43 33-39 s for n 17-21, at 42 20-34 s for n 11-21.
+DET_CROSS_CHECK_SIZE_LIMIT = 43
 # closed-form's follows n + m: QHilbert grows with n, CBqm and Andrewsm with m.
 # At 28 QHilbert took 34-43 s at n = 22; at 29 it took 37-53 s for n 20-22.
 CLOSED_FORM_SIZE_LIMIT = 28
@@ -323,13 +331,18 @@ def main(argv=None) -> int:
                                  f"exceeds the limit {limit}")
         if args.command == "verify" and 2 * args.n_max + args.m_max > VERIFY_SIZE_LIMIT:
             raise ValueError(f"2 * --n-max + --m-max exceeds the limit {VERIFY_SIZE_LIMIT}")
-        if ((args.command == "det" or getattr(args, "cross_check", False))
-                and 2 * args.n + args.m > DET_SIZE_LIMIT):
+        cross_check = getattr(args, "cross_check", False)
+        eliminates = args.command == "det" or cross_check
+        if eliminates and 2 * args.n + args.m > DET_SIZE_LIMIT:
             raise ValueError(f"2 * --n + --m exceeds the limit {DET_SIZE_LIMIT}")
-        if (args.command == "closed-form" and args.cross_check
-                and 2 * args.n + args.m > CROSS_CHECK_SIZE_LIMIT):
-            raise ValueError(f"2 * --n + --m exceeds the limit {CROSS_CHECK_SIZE_LIMIT} "
-                             "with --cross-check")
+        if cross_check:
+            limit = (CROSS_CHECK_SIZE_LIMIT if args.command == "closed-form"
+                     else DET_CROSS_CHECK_SIZE_LIMIT)
+            if 2 * args.n + args.m > limit:
+                raise ValueError(f"2 * --n + --m exceeds the limit {limit} with --cross-check")
+        if eliminates and args.engine == "bareiss" and 3 * args.n + args.m > BAREISS_SIZE_LIMIT:
+            raise ValueError(f"3 * --n + --m exceeds the limit {BAREISS_SIZE_LIMIT} "
+                             "with --engine bareiss")
         if args.command == "closed-form" and args.n + args.m > CLOSED_FORM_SIZE_LIMIT:
             raise ValueError(f"--n + --m exceeds the limit {CLOSED_FORM_SIZE_LIMIT}")
         return args.fn(args)

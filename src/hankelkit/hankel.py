@@ -6,16 +6,27 @@ the ``division`` engine (the signed product of its pivots) and ``ldlt``
 (multipliers A, pivots D).  On a symmetric matrix, as every Hankel matrix
 is, it updates only the upper triangle until its first row swap.
 
-The ``bareiss`` engine is fraction-free elimination on the polynomial matrix
-made by clearing each row by the lcm of its denominators; one reduction
-divides the product of those lcms back out.  It shares no algebra with the
-other two and serves as their oracle.
+The ``bareiss`` engine, the oracle of the other two with no algebra shared,
+is fraction-free elimination (Bareiss, Math. Comp. 22, 1968) on the rows
+cleared by L_i, the lcm of the denominators of rows 0..i (the row's own lcm
+when, as on the q-moment matrices, they are nested); one reduction divides
+L_0 ... L_(n-1) back out.  By Sylvester's identity, after step k - 1 a_ij
+is L_0 ... L_(k-1) L_i times the minor of M on rows 0..k-1, i and columns
+0..k-1, j, which is symmetric in i and j when M is, so a_ji = a_ij L_j / L_i.
+Until its first row swap the engine updates only the upper triangle and
+reads the pivot column off the pivot row, one product by L_i / L_k per row:
+165 exact divisions at n = 10 instead of 285.  On c:q^2,q,q^2 with m = 1
+the median of 5 interleaved runs went from 1.49 to 0.95 s (2 cores, Python
+3.11).
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .errors import NotNormalized, SingularLeadingMinor
-from .field import F_ONE, F_ZERO, FieldElem, P_ONE, P_ZERO, Polynomial, _gcd_cofactors, as_field
+from .field import (F_ONE, F_ZERO, FieldElem, P_ONE, Polynomial, _gcd_cofactors, _mul_int,
+                    _try_div_exact, as_field)
 from .sequences import MomentSeq
 from .triangle import JacobiParams
 
@@ -65,6 +76,10 @@ def hankel_matrix(seq, n: int, m: int = 0) -> SquareMatrix:
     return SquareMatrix([terms[i:i + n] for i in range(n)])
 
 
+def _is_symmetric(rows) -> bool:
+    return all(rows[i][j] == rows[j][i] for i in range(len(rows)) for j in range(i))
+
+
 def _eliminate(M: SquareMatrix, require_symmetric: bool = False):
     """Gaussian elimination with row pivoting, one column at a time.
 
@@ -77,7 +92,7 @@ def _eliminate(M: SquareMatrix, require_symmetric: bool = False):
     """
     n = M.n
     a = [list(row) for row in M.entries]
-    symmetric = all(a[i][j] == a[j][i] for i in range(n) for j in range(i))
+    symmetric = _is_symmetric(M.entries)
     if require_symmetric and not symmetric:
         raise ValueError("matrix is not symmetric")
     for col in range(n):
@@ -115,37 +130,52 @@ def det_division(M: SquareMatrix) -> FieldElem:
 
 
 def det_bareiss(M: SquareMatrix) -> FieldElem:
-    """Determinant by fraction-free (Bareiss) elimination.
-
-    Each row is cleared by the lcm of its denominators, and the determinant
-    of the polynomial matrix is divided by the product of those lcms.
-    """
+    """Determinant by fraction-free (Bareiss) elimination on the rows cleared
+    by the running lcms L_i, divided by L_0 ... L_(n-1) at the end.  While M
+    is symmetric and unswapped, a step updates only the upper triangle and
+    takes a_ik = a_ki L_i / L_k (module docstring)."""
     n = M.n
-    a = []
-    den = P_ONE
+    symmetric = _is_symmetric(M.entries)
+    a, ext = [], []  # ext[i] = L_i / L_(i-1)
+    lcm = den = (1,)
     for row in M.entries:
-        lcm = P_ONE
+        grow = (1,)
         for v in row:
-            lcm = lcm * Polynomial._make(1, _gcd_cofactors(lcm.coeffs, v.d)[2])
-        a.append([v.num * (lcm // v.den) for v in row])
-        den = den * lcm
-    sign = 1
-    prev = P_ONE
+            cof = _gcd_cofactors(lcm, v.d)[2]
+            lcm, grow = _mul_int(lcm, cof), _mul_int(grow, cof)
+        ext.append(Polynomial._make(1, grow))
+        den = _mul_int(den, lcm)
+        a.append([Polynomial._make(Fraction(v.p, v.r), _mul_int(
+            v.n, lcm if v.d == (1,) else _try_div_exact(lcm, v.d))) for v in row])
+
+    def mirror(j):
+        """Column j below the diagonal from row j: a_ij = a_ji L_i / L_j."""
+        ratio = P_ONE
+        for i in range(j + 1, n):
+            ratio = ratio * ext[i]
+            a[i][j] = a[j][i] * ratio
+
+    sign, prev = 1, P_ONE
     for k in range(n - 1):
+        if symmetric:
+            # this step's pivot column, or the whole active block before a swap
+            symmetric = not a[k][k].is_zero
+            for j in range(k, k + 1 if symmetric else n):
+                mirror(j)
         if a[k][k].is_zero:
             swap = next((r for r in range(k + 1, n) if not a[r][k].is_zero), None)
             if swap is None:
                 return F_ZERO
             a[k], a[swap] = a[swap], a[k]
             sign = -sign
-        pivot = a[k][k]
+        pivot, top = a[k][k], a[k]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (pivot * a[i][j] - a[i][k] * a[k][j]) // prev
-            a[i][k] = P_ZERO
+            row, aik = a[i], a[i][k]
+            for j in range(i if symmetric else k + 1, n):
+                row[j] = (pivot * row[j] - aik * top[j]) // prev
         prev = pivot
     det_poly = a[n - 1][n - 1]
-    return FieldElem(-det_poly if sign < 0 else det_poly, den)
+    return FieldElem(-det_poly if sign < 0 else det_poly, Polynomial._make(1, den))
 
 
 _ENGINES = {"bareiss": det_bareiss, "division": det_division}

@@ -7,8 +7,9 @@ import time
 
 import pytest
 
-from hankelkit.cli import (CLOSED_FORM_SIZE_LIMIT, CROSS_CHECK_SIZE_LIMIT, DET_SIZE_LIMIT,
-                           SIZE_LIMITS, VERIFY_SIZE_LIMIT, main)
+from hankelkit.cli import (BAREISS_SIZE_LIMIT, CLOSED_FORM_SIZE_LIMIT, CROSS_CHECK_SIZE_LIMIT,
+                           DET_CROSS_CHECK_SIZE_LIMIT, DET_SIZE_LIMIT, SIZE_LIMITS,
+                           VERIFY_SIZE_LIMIT, main)
 from hankelkit.field import parse_field_expr, q
 
 
@@ -375,14 +376,47 @@ class TestSizeLimits:
                 "with --cross-check") in err
         assert time.perf_counter() - start < 1.0
 
+    def test_det_cross_check_pair_limit_exits_2_at_once(self, capsys):
+        # det alone accepts (22, 2); with --cross-check it adds the Jacobi route
+        assert 2 * 22 + 2 <= DET_SIZE_LIMIT
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "det", "--seq", "c:q^2,q,q^2", "--n", "22", "--m", "2",
+                                 "--cross-check")
+        assert code == 2 and out == ""
+        assert (f"error: 2 * --n + --m exceeds the limit {DET_CROSS_CHECK_SIZE_LIMIT} "
+                "with --cross-check") in err
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("argv", [
+        ["det", "--seq", "c:q^2,q,q^2", "--n", "22", "--m", "2"],
+        ["det", "--seq", "c:q^2,q,q^2", "--n", "15", "--m", "2", "--cross-check"],
+        ["closed-form", "CBqm", "--n", "15", "--m", "2", "--cross-check"],
+    ])
+    def test_bareiss_limit_exits_2_at_once(self, capsys, argv):
+        # each passes the limits of the default engine, which is faster
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv, "--engine", "bareiss")
+        assert code == 2 and out == ""
+        assert (f"error: 3 * --n + --m exceeds the limit {BAREISS_SIZE_LIMIT} "
+                "with --engine bareiss") in err
+        assert time.perf_counter() - start < 1.0
+
+    def test_bareiss_limit_spares_closed_form_without_cross_check(self, capsys):
+        # the engine runs only for the cross-check, so the closed form alone is admitted
+        code, out, _ = run_cli(capsys, "closed-form", "QFactorial", "--n", "16",
+                               "--engine", "bareiss")
+        assert code == 0 and out
+
     def test_benchmark_sizes_are_allowed(self):
         assert SIZE_LIMITS["n"] >= 10 and SIZE_LIMITS["m"] >= 1
         assert SIZE_LIMITS["depth"] >= 10 and SIZE_LIMITS["rows"] >= 18
         # verify all runs at its defaults, --n-max 5 --m-max 3
         assert SIZE_LIMITS["n_max"] >= 5 and SIZE_LIMITS["m_max"] >= 3
         assert VERIFY_SIZE_LIMIT >= 2 * 5 + 3
-        # det-kernels runs det at n = 10, m = 1
-        assert DET_SIZE_LIMIT >= 2 * 10 + 1
+        # det-kernels runs det at n = 10, m = 1 with each engine, and CI
+        # cross-checks it with --engine bareiss
+        assert DET_SIZE_LIMIT >= 2 * 10 + 1 and DET_CROSS_CHECK_SIZE_LIMIT >= 2 * 10 + 1
+        assert BAREISS_SIZE_LIMIT >= 3 * 10 + 1
 
 
 class TestRenderRoundTrip:

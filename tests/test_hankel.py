@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hankelkit.errors import NotNormalized, SingularLeadingMinor
-from hankelkit.field import as_field, q
+from hankelkit.field import Polynomial, as_field, parse_field_expr, q
 from hankelkit.hankel import (
     SquareMatrix,
     det_bareiss,
@@ -268,7 +268,54 @@ def test_engines_agree_on_random_matrices():
         assert det_division(M) == det_bareiss(M)
 
 
+def test_symmetric_bareiss_updates_only_the_upper_triangle(monkeypatch):
+    """A symmetric matrix with no swap takes sum_(k < n-1) (n-k-1)(n-k)/2
+    exact divisions: 84 at n = 8, where the full square takes 140."""
+    H = hankel_matrix(parse_sequence_spec("c:q^2,q,q^2"), 8, 0)
+    expected = det_division(H)
+    calls = []
+    floordiv = Polynomial.__floordiv__
+
+    def counted(self, other):
+        calls.append(other)
+        return floordiv(self, other)
+
+    monkeypatch.setattr(Polynomial, "__floordiv__", counted)
+    assert det_bareiss(H) == expected
+    assert len(calls) == sum((8 - k - 1) * (8 - k) // 2 for k in range(7)) == 84
+
+
+def test_symmetric_bareiss_swaps_out_of_symmetric_steps():
+    """The pivot vanishes at step 1, and the clearing lcms 1, 1 + q and
+    (1 + q)(2 - q) differ, so the mirrored lower triangle is scaled."""
+    H = hankel_matrix(parse_sequence_spec("explicit:1,q,q^2,1/(1+q),1/(2-q)"), 3, 0)
+    expected = parse_field_expr("(-q^8 - 2*q^7 - q^6 + 2*q^4 + 2*q^3 - 1) / (q^2 + 2*q + 1)")
+    assert det_bareiss(H) == det_division(H) == expected
+
+
 _Q_DENS = (as_field(1), 1 + q, 2 - q)
+
+
+@st.composite
+def symmetric_unnested(draw):
+    """Symmetric matrices of order 2-5 over Q(q), often with zero entries,
+    whose diagonal entry k alone has the denominator 1 + q^2: every row
+    below k has a running lcm larger than its own lcm."""
+    n = draw(st.integers(2, 5))
+    small = st.integers(-2, 2)
+    entry = st.one_of(st.just(as_field(0)), st.builds(
+        lambda a, b, d: (as_field(a) + as_field(b) * q) / d, small, small,
+        st.sampled_from(_Q_DENS)))
+    rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    k = draw(st.integers(0, n - 2))
+    rows[k][k] = draw(st.integers(1, 3)) * q / (1 + q * q)
+    return SquareMatrix([[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(symmetric_unnested())
+def test_symmetric_bareiss_matches_division_on_unnested_denominators(M):
+    assert det_bareiss(M) == det_division(M)
 
 
 @st.composite
