@@ -37,6 +37,10 @@ SIZE_LIMITS = {"n": 22, "m": 35, "depth": 22, "rows": 22, "n_max": 10, "m_max": 
 # Jointly, verify all's time follows 2 n_max + m_max, as its grids read c(2n - 2 + m):
 # at 23 it took 34-49 s for n_max 5-10, at 24 it took 53-67 s for n_max 7-10.
 VERIFY_SIZE_LIMIT = 23
+# With --engine bareiss the grids' determinants take longer, the more so the
+# larger n_max: at 23 verify all took 44 s at n_max 6, 62 s at 7 (91 s at 10);
+# at 22 18-65 s for n_max 4-10, past 50 s for 8-10; at 21 12-38 s for n_max 4-10.
+VERIFY_BAREISS_SIZE_LIMIT = 21
 # det's time follows 2 n + m too, as its matrix reads c(m .. 2n - 2 + m): on
 # c:q^2,q,q^2 at 46 it took 23-35 s for n 16-22, at 47 58 s for n = 22.
 # closed-form --cross-check takes the same limit: its oracle is such a det.
@@ -329,8 +333,12 @@ def main(argv=None) -> int:
             if getattr(args, name, 0) > limit:
                 raise ValueError(f"--{name.replace('_', '-')} {getattr(args, name)} "
                                  f"exceeds the limit {limit}")
-        if args.command == "verify" and 2 * args.n_max + args.m_max > VERIFY_SIZE_LIMIT:
-            raise ValueError(f"2 * --n-max + --m-max exceeds the limit {VERIFY_SIZE_LIMIT}")
+        if args.command == "verify":
+            if 2 * args.n_max + args.m_max > VERIFY_SIZE_LIMIT:
+                raise ValueError(f"2 * --n-max + --m-max exceeds the limit {VERIFY_SIZE_LIMIT}")
+            if args.engine == "bareiss" and 2 * args.n_max + args.m_max > VERIFY_BAREISS_SIZE_LIMIT:
+                raise ValueError(f"2 * --n-max + --m-max exceeds the limit "
+                                 f"{VERIFY_BAREISS_SIZE_LIMIT} with --engine bareiss")
         cross_check = getattr(args, "cross_check", False)
         eliminates = args.command == "det" or cross_check
         if eliminates and 2 * args.n + args.m > DET_SIZE_LIMIT:

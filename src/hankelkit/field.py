@@ -23,6 +23,45 @@ the even and the odd coefficients in w-bit slots: two multiplies of half
 the length.  At (degree 1300, 600 bits) that took 171 ms and a peak of
 1.5 MB of new memory, against 279 ms and 2.5 MB for one product at 2^w.
 
+The longest products are multiplied by the C ``decimal`` module instead:
+libmpdec multiplies large operands with a number-theoretic transform
+(Pollard, Math. Comp. 25, 1971), in n log n steps where CPython's
+Karatsuba takes n^1.58.  ``_mul_decimal`` runs KS2 at 10^(d/2) and
+-10^(d/2), with d the least even number of digits such that 10^d >
+2^(bits(a) + bits(b) + bit_length(min length) + 2): a slot then holds
+twice any coefficient of the product with its sign, since the sum and
+the difference of the two products hold the even and the odd
+coefficients doubled.  A vector is packed from leaf strings of at most
+``_DEC_LEAF`` coefficients, each printed with a bias of 10^d/2 so that it
+takes exactly d digits, joined by halves with ``scaleb`` and ``add``.  The
+product is read back by splits at 10^(d k) rounded to nearest, which leave
+each low part equal to its own k digits, down to leaf strings, where the
+bias is added back.  Every operation runs in one context of precision
+``MAX_PREC`` that traps ``Inexact``, ``Rounded`` and ``InvalidOperation``,
+so a lost digit raises instead of returning a wrong coefficient.  Slots
+of more than 640 digits stay on KS2, since ``str`` and ``int`` may refuse
+them under the interpreter's limit on integer string conversion.  Without
+the C module the cut-off is infinite, since ``_pydecimal`` is far slower.
+
+The cut-off ``_MUL_DEC_MIN`` = 200 000 is on max(len a, len b) (bits(a) +
+bits(b)), which sizes the packed operands.  A sweep of products of two
+vectors of equal (length, bits), best of 9 alternated runs (Python 3.11,
+one core), KS2 against decimal in ms: (1301, 600) 192 / 75; (1501, 260)
+63 / 33; (601, 200) 8.8 / 7.2; (1301, 80) 10.5 / 9.3; (1701, 60) 7.7 /
+7.3; (601, 170) 6.0 / 5.9; (901, 100) 8.5 / 8.4; (1301, 100) 13.5 / 15.1;
+(301, 300) 4.7 / 5.5; (801, 100) 7.6 / 8.5; (601, 130) 6.4 / 7.5; (401,
+100) 2.9 / 4.5.  Between sizes of 1.5 and 3 * 10^5 the two paths are
+within 20 % of each other either way; below that decimal loses by up to
+1.6x, and above it gains up to 2.6x.  Its extra
+cost is the string conversions, one per coefficient, so at one size it
+gains more on fewer, wider coefficients: the 228 products past the cut-off
+in the n = 13 Bareiss determinant of ``c:q^2,q,q^2``, of about 130 bits
+each, took 3.47 s against 3.65 s on KS2.  Leaves of 16 to 128
+coefficients differed by less than the noise between sweeps, 32 was within
+7 % of the fastest at (1301, 600), (601, 200) and (1301, 100), and 8 was
+slower.  The traced peak of new memory at (1301, 600) is 1.54 MB against
+1.48 MB for KS2, and 0.22 against 0.23 MB at (601, 200).
+
 Long exact divisions are 2-adic (Jebelean, JSC 1993), not ``divmod`` on the
 packed ints: CPython's big-int division is quadratic, and at (degree 1300,
 600 bits) a packed ``divmod`` took over 6 s against 1.4-2.0 s for the
@@ -99,6 +138,19 @@ from .errors import DivisionByZero, ParseError, PoleAtPoint
 
 _MUL_PACK_MIN = 16
 _DIV_PACK_MIN = 32
+_DEC_LEAF = 32
+
+try:
+    from _decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal,
+                          Inexact, InvalidOperation, Rounded)
+except ImportError:
+    # the pure-Python decimal multiplies far slower than CPython's ints
+    _MUL_DEC_MIN = math.inf
+else:
+    _MUL_DEC_MIN = 200_000
+    # every result is exact, and any rounding raises
+    _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, rounding=ROUND_HALF_EVEN,
+                     traps=[Inexact, Rounded, InvalidOperation])
 
 
 def _trim(coeffs):
@@ -155,11 +207,12 @@ def _pack_pm(coeffs, w):
     return even + odd, even - odd
 
 
-def _mul_packed(a, b):
+def _mul_packed(a, b, bits):
     """a * b from the product's values at 2^(w/2) and -2^(w/2) (Harvey's
-    KS2): two multiplies of ints half as long as the one product at 2^w."""
+    KS2): two multiplies of ints half as long as the one product at 2^w;
+    bits is _bits(a) + _bits(b)."""
     # a slot of w bits holds every coefficient of the product with its sign
-    nbytes = (_bits(a) + _bits(b) + min(len(a), len(b)).bit_length() + 8) // 8
+    nbytes = (bits + min(len(a), len(b)).bit_length() + 8) // 8
     w = 8 * nbytes
     a_plus, a_minus = _pack_pm(a, w)
     b_plus, b_minus = _pack_pm(b, w)
@@ -179,6 +232,107 @@ def _mul_packed(a, b):
     return tuple(out)
 
 
+class _DecimalSlots:
+    """Base-10^d slots (d even) in exact ``Decimal``s; a slot holds a digit
+    in (-10^d/2, 10^d/2) and is written with a bias of 10^d/2 added, so that
+    it prints as exactly d digits."""
+
+    __slots__ = ("d", "half", "_biases")
+
+    def __init__(self, d):
+        self.d = d
+        self.half = 5 * 10 ** (d - 1)
+        self._biases = {}
+
+    def bias(self, k):
+        """10^d/2 in each of k slots (a leaf has one of few lengths)."""
+        b = self._biases.get(k)
+        if b is None:
+            b = self._biases[k] = Decimal(str(self.half) * k)
+        return b
+
+    def pack(self, coeffs, lo=0, hi=None):
+        """sum(coeffs[lo + i] * 10^(d i)) from leaf strings of at most
+        ``_DEC_LEAF`` coefficients, joined by halves as ``_pack`` does."""
+        if hi is None:
+            hi = len(coeffs)
+        if hi - lo <= _DEC_LEAF:
+            if lo == hi:
+                return Decimal(0)
+            half = self.half
+            text = "".join([str(c + half) for c in reversed(coeffs[lo:hi])])
+            return _EXACT.subtract(Decimal(text), self.bias(hi - lo))
+        mid = (lo + hi) // 2
+        return _EXACT.add(self.pack(coeffs, lo, mid),
+                          self.pack(coeffs, mid, hi).scaleb(self.d * (mid - lo), _EXACT))
+
+    def unpack_halves(self, value, n, out):
+        """Append to out the n digits of value, halved (each is even), lowest
+        first.  A split at 10^(d k) rounds to nearest, so its low part is
+        exactly the k lowest digits: their sum is below 10^(d k)/2."""
+        d = self.d
+        if n <= _DEC_LEAF:
+            if n:
+                # with the bias every digit is nonnegative, and the string
+                # holds them in fixed-width runs
+                text = str(_EXACT.add(value, self.bias(n))).zfill(d * n)
+                half = self.half
+                out += [(int(text[i - d:i]) - half) >> 1 for i in range(d * n, 0, -d)]
+            return
+        k = n // 2
+        high = value.scaleb(-d * k, _EXACT).to_integral_value(ROUND_HALF_EVEN, _EXACT)
+        low = _EXACT.subtract(value, high.scaleb(d * k, _EXACT))
+        del value
+        self.unpack_halves(low, k, out)
+        del low
+        self.unpack_halves(high, n - k, out)
+
+
+def _mul_decimal(a, b, bits):
+    """a * b by KS2 at 10^(d/2) and -10^(d/2), multiplied by libmpdec's
+    number-theoretic transform (module docstring); bits is _bits(a) +
+    _bits(b)."""
+    # a slot of d digits holds twice any coefficient of the product with its
+    # sign: 10^d > 2^(bits + bit_length(min length) + 2) > 4 |c|
+    d = (bits + min(len(a), len(b)).bit_length() + 2) * 30103 // 100000 + 1
+    d += d & 1
+    if d > 640:
+        # str() and int() of more digits may pass the interpreter's limit on
+        # integer string conversion, which is never below 640 digits
+        # (sys.int_info.str_digits_check_threshold)
+        return _mul_packed(a, b, bits)
+    slots = _DecimalSlots(d)
+    h = d // 2
+
+    def plus_minus(v):
+        even = slots.pack(v[0::2])
+        odd = slots.pack(v[1::2]).scaleb(h, _EXACT)
+        return _EXACT.add(even, odd), _EXACT.subtract(even, odd)
+
+    a_plus, a_minus = plus_minus(a)
+    b_plus, b_minus = plus_minus(b)
+    # as in _mul_packed, these are the peak memory: free each early
+    plus = _EXACT.multiply(a_plus, b_plus)
+    del a_plus, b_plus
+    minus = _EXACT.multiply(a_minus, b_minus)
+    del a_minus, b_minus
+    n = len(a) + len(b) - 1
+    out = [0] * n
+    # plus - minus is 2 * 10^(d/2) times the odd coefficients at 10^d, and
+    # plus + minus twice the even ones
+    odd = _EXACT.subtract(plus, minus).scaleb(-h, _EXACT).to_integral_value(context=_EXACT)
+    plus = _EXACT.add(plus, minus)
+    del minus
+    digits = []
+    slots.unpack_halves(plus, (n + 1) // 2, digits)
+    del plus
+    out[0::2] = digits
+    digits = []
+    slots.unpack_halves(odd, n // 2, digits)
+    out[1::2] = digits
+    return tuple(out)
+
+
 def _mul_int(a, b):
     if not a or not b:
         return ()
@@ -188,7 +342,10 @@ def _mul_int(a, b):
     if b == (1,):
         return a
     if min(len(a), len(b)) >= _MUL_PACK_MIN:
-        return _mul_packed(a, b)
+        bits = _bits(a) + _bits(b)
+        if max(len(a), len(b)) * bits >= _MUL_DEC_MIN:
+            return _mul_decimal(a, b, bits)
+        return _mul_packed(a, b, bits)
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:

@@ -9,7 +9,7 @@ import pytest
 
 from hankelkit.cli import (BAREISS_SIZE_LIMIT, CLOSED_FORM_SIZE_LIMIT, CROSS_CHECK_SIZE_LIMIT,
                            DET_CROSS_CHECK_SIZE_LIMIT, DET_SIZE_LIMIT, SIZE_LIMITS,
-                           VERIFY_SIZE_LIMIT, main)
+                           VERIFY_BAREISS_SIZE_LIMIT, VERIFY_SIZE_LIMIT, main)
 from hankelkit.field import parse_field_expr, q
 
 
@@ -338,6 +338,17 @@ class TestSizeLimits:
         assert f"2 * --n-max + --m-max exceeds the limit {VERIFY_SIZE_LIMIT}" in err
         assert time.perf_counter() - start < 1.0
 
+    def test_verify_bareiss_limit_exits_2_at_once(self, capsys):
+        # (10, 3) passes the default engine's joint limit; with Bareiss it ran 91 s
+        assert 2 * 10 + 3 <= VERIFY_SIZE_LIMIT
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "verify", "all", "--n-max", "10", "--m-max", "3",
+                                 "--engine", "bareiss")
+        assert code == 2 and out == ""
+        assert (f"error: 2 * --n-max + --m-max exceeds the limit {VERIFY_BAREISS_SIZE_LIMIT} "
+                "with --engine bareiss") in err
+        assert time.perf_counter() - start < 1.0
+
     @pytest.mark.parametrize("argv, weight, limit, rule", [
         (["det", "--seq", "c:q^2,q,q^2"], 2, DET_SIZE_LIMIT, "2 * --n + --m"),
         (["closed-form", "CBqm"], 1, CLOSED_FORM_SIZE_LIMIT, "--n + --m"),
@@ -413,6 +424,8 @@ class TestSizeLimits:
         # verify all runs at its defaults, --n-max 5 --m-max 3
         assert SIZE_LIMITS["n_max"] >= 5 and SIZE_LIMITS["m_max"] >= 3
         assert VERIFY_SIZE_LIMIT >= 2 * 5 + 3
+        # and CI runs it with --engine bareiss at the same defaults
+        assert VERIFY_BAREISS_SIZE_LIMIT >= 2 * 5 + 3
         # det-kernels runs det at n = 10, m = 1 with each engine, and CI
         # cross-checks it with --engine bareiss
         assert DET_SIZE_LIMIT >= 2 * 10 + 1 and DET_CROSS_CHECK_SIZE_LIMIT >= 2 * 10 + 1

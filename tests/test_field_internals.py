@@ -2,10 +2,15 @@
 Fraction-based Euclid oracle, covering short and long inputs, degree gaps,
 and non-monic inputs; property tests of the integer-vector multiply and
 exact division against schoolbook references, on both sides of their
-packing cut-offs; and of the gcd's cofactors against a residue-list Euclid
-over GF(p) and against sympy, and the Henrici addition built on them."""
+packing cut-offs, and of the decimal long multiply and its guards; and of
+the gcd's cofactors against a residue-list Euclid over GF(p) and against
+sympy, and the Henrici addition built on them."""
 
+import decimal
+import importlib.util
+import math
 import random
+import sys
 from fractions import Fraction
 from math import comb, gcd
 
@@ -294,6 +299,146 @@ def test_try_div_exact_quotient_wider_than_dividend():
     assert _try_div_exact(f, g) == h
     assert _try_div_exact(f, h) == g
     assert _try_div_exact(f[:-1] + (f[-1] * 3,), g) is None
+
+
+# ---------------------------------------------------------------------------
+# the long multiply through decimal (libmpdec)
+# ---------------------------------------------------------------------------
+
+needs_c_decimal = pytest.mark.skipif(
+    field._MUL_DEC_MIN == math.inf, reason="the C _decimal module is not available"
+)
+
+
+def ks2_mul(a, b):
+    return field._mul_packed(a, b, field._bits(a) + field._bits(b))
+
+
+def decimal_mul(a, b):
+    return field._mul_decimal(a, b, field._bits(a) + field._bits(b))
+
+
+def _recorded(monkeypatch, name):
+    """Replace field.<name> by a wrapper that counts its calls."""
+    calls = []
+    inner = getattr(field, name)
+
+    def wrapper(a, b, bits):
+        calls.append((len(a), len(b)))
+        return inner(a, b, bits)
+
+    monkeypatch.setattr(field, name, wrapper)
+    return calls
+
+
+def _vector_of_bits(rng, length, bits):
+    """A vector whose widest coefficient has exactly `bits` bits."""
+    span = (1 << (bits - 1)) - 1
+    return tuple(rng.randint(-span, span) for _ in range(length - 1)) + (1 << (bits - 1),)
+
+
+@st.composite
+def shaped_vectors(draw):
+    """int_vectors, sometimes made all negative or given extra zeros."""
+    v = list(draw(int_vectors()))
+    shape = draw(st.sampled_from(("signed", "negative", "zeros")))
+    if shape == "negative":
+        v = [-abs(c) for c in v]
+    elif shape == "zeros" and len(v) > 1:
+        for i in draw(st.lists(st.integers(0, len(v) - 2), max_size=len(v))):
+            v[i] = 0
+    return tuple(v)
+
+
+@needs_c_decimal
+@settings(max_examples=150, deadline=None)
+@given(shaped_vectors(), shaped_vectors())
+def test_mul_decimal_matches_schoolbook(a, b):
+    expected = schoolbook_mul(a, b)
+    assert decimal_mul(a, b) == expected
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(field, "_MUL_DEC_MIN", 0)
+        assert _mul_int(a, b) == expected
+
+
+@needs_c_decimal
+@pytest.mark.parametrize("la, lb", [(1, 1), (1, 300), (2, 33), (31, 32), (32, 32), (33, 65),
+                                    (64, 97), (17, 1000), (3, 2)])
+@pytest.mark.parametrize("bits", [1, 40, 700])
+def test_mul_decimal_lengths_around_the_leaf(la, lb, bits):
+    rng = random.Random(la * 1009 + lb + bits)
+    a = _random_vector(rng, la, bits)
+    b = tuple(-abs(c) for c in _random_vector(rng, lb, bits))
+    expected = schoolbook_mul(a, b)
+    assert decimal_mul(a, b) == expected
+    assert decimal_mul(b, a) == expected
+
+
+@needs_c_decimal
+def test_mul_decimal_at_the_largest_kernel_point(monkeypatch):
+    # degree 1300 and 600-bit coefficients, the benchmark's largest product
+    rng = random.Random(1300)
+    a = _random_vector(rng, 1301, 600)
+    b = _random_vector(rng, 1301, 600)
+    calls = _recorded(monkeypatch, "_mul_decimal")
+    assert _mul_int(a, b) == ks2_mul(a, b)
+    assert calls == [(1301, 1301)]
+
+
+@needs_c_decimal
+@pytest.mark.parametrize("bits, path", [(99, "_mul_packed"), (100, "_mul_decimal")])
+def test_mul_int_cutoff_picks_the_path(monkeypatch, bits, path):
+    # len_max (bits a + bits b) is 198 000 at 99 bits and 200 000 at 100
+    rng = random.Random(bits)
+    a = _vector_of_bits(rng, 1000, bits)
+    b = _vector_of_bits(rng, 400, bits)
+    assert 1000 * 2 * 99 < field._MUL_DEC_MIN <= 1000 * 2 * 100
+    other = decimal_mul if path == "_mul_packed" else ks2_mul
+    calls = _recorded(monkeypatch, path)
+    assert _mul_int(a, b) == other(a, b)
+    assert calls == [(1000, 400)]
+
+
+@needs_c_decimal
+def test_mul_decimal_wide_slots_stay_on_ks2(monkeypatch):
+    # slots of more than 640 digits could pass int_max_str_digits
+    rng = random.Random(640)
+    a = _vector_of_bits(rng, 20, 1100)
+    b = _vector_of_bits(rng, 20, 1100)
+    calls = _recorded(monkeypatch, "_mul_packed")
+    assert decimal_mul(a, b) == schoolbook_mul(a, b)
+    assert calls == [(20, 20)]
+
+
+@needs_c_decimal
+def test_mul_decimal_raises_when_inexact(monkeypatch):
+    # the context traps rounding, so a loss of digits raises and never
+    # comes back as coefficients
+    rng = random.Random(7)
+    a = _random_vector(rng, 40, 100)
+    b = _random_vector(rng, 40, 100)
+    monkeypatch.setattr(field._EXACT, "prec", 60)
+    with pytest.raises((decimal.Inexact, decimal.Rounded)):
+        decimal_mul(a, b)
+
+
+def test_without_c_decimal_products_stay_on_ks2(monkeypatch):
+    # a fresh copy of the module, imported while _decimal cannot be
+    monkeypatch.setitem(sys.modules, "_decimal", None)
+    spec = importlib.util.spec_from_file_location("hankelkit._field_without_c_decimal",
+                                                  field.__file__)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module._MUL_DEC_MIN == math.inf
+    calls = []
+    packed = module._mul_packed
+    monkeypatch.setattr(module, "_mul_packed",
+                        lambda a, b, bits: calls.append(1) or packed(a, b, bits))
+    rng = random.Random(3)
+    a = _random_vector(rng, 1301, 600)
+    b = _random_vector(rng, 401, 600)
+    assert module._mul_int(a, b) == ks2_mul(a, b)
+    assert calls == [1]
 
 
 # ---------------------------------------------------------------------------
