@@ -49,6 +49,7 @@ from .hankel import (
     hankel_matrix,
     jacobi_from_moments,
     ldlt,
+    leading_minors,
 )
 from .identities import (
     IdentityReport,

@@ -38,9 +38,9 @@ SIZE_LIMITS = {"n": 22, "m": 35, "depth": 22, "rows": 22, "n_max": 10, "m_max": 
 # at 23 it took 34-49 s for n_max 5-10, at 24 it took 53-67 s for n_max 7-10.
 VERIFY_SIZE_LIMIT = 23
 # With --engine bareiss the grids' determinants take longer, the more so the
-# larger n_max: at 23 verify all took 44 s at n_max 6, 62 s at 7 (91 s at 10);
-# at 22 18-65 s for n_max 4-10, past 50 s for 8-10; at 21 12-38 s for n_max 4-10.
-VERIFY_BAREISS_SIZE_LIMIT = 21
+# larger n_max: at 23 verify all took 31-43 s at n_max 5-6 and 63-83 s at
+# 7-10; at 22 16-45 s for n_max 4-10.
+VERIFY_BAREISS_SIZE_LIMIT = 22
 # det's time follows 2 n + m too, as its matrix reads c(m .. 2n - 2 + m): on
 # c:q^2,q,q^2 at 46 it took 23-35 s for n 16-22, at 47 58 s for n = 22.
 # closed-form --cross-check takes the same limit: its oracle is such a det.

@@ -29,7 +29,7 @@ from .closed_forms import (
     qmoment_det,
     qmoment_T,
 )
-from .errors import InsufficientSamples
+from .errors import HankelkitError, InsufficientSamples
 from .field import F_ONE, FieldElem, as_field, q
 from .hankel import (
     DEFAULT_ENGINE,
@@ -40,6 +40,7 @@ from .hankel import (
     det_exact,
     hankel_matrix,
     jacobi_from_moments,
+    leading_minors,
 )
 from .identities import (
     binomial_alt_sum_term,
@@ -247,13 +248,47 @@ def _const(value):
     return lambda n, m: value
 
 
-def _hankel_det(engine, seq, n, m):
-    """The oracle: det of the n x n Hankel matrix of a fresh seq() at shift m."""
-    return det_exact(hankel_matrix(seq(), n, m), engine)
+class _Minors:
+    """The oracle d(n, m) = det build(n, m) for n <= n_max, as a function of
+    the grid point: one ``leading_minors`` elimination of build(n_max, m) per
+    shift m.  The first read at m builds that matrix, and a read at order n
+    advances the elimination only to its n-th pivot, so a case's time covers
+    the steps up to its own pivot.  If the build raises (a term with a
+    pole), each order builds its own matrix: only the orders that read the
+    failing term fail, each with the error it raises alone."""
+
+    def __init__(self, build, n_max, engine):
+        self.build, self.n_max, self.engine = build, n_max, engine
+        self.tables = {}  # m -> (minors so far, the elimination), or () per order
+
+    def __call__(self, n, m):
+        table = self.tables.get(m)
+        if table is None:
+            try:
+                M = self.build(self.n_max, m)
+            except HankelkitError:  # a pole, which some lower orders may not read
+                table = ()
+            else:
+                table = ([], leading_minors(M, self.engine))
+            self.tables[m] = table
+        if not table:
+            return det_exact(self.build(n, m), self.engine)
+        values, minors = table
+        while len(values) < n:
+            values.append(next(minors))
+        if n == self.n_max:
+            minors.close()  # frees the eliminated matrix
+        return values[n - 1]
 
 
-def _oracle_det(engine, tag, x, n, m):
-    return det_exact(oracle_matrix(tag, n, m, x), engine)
+def _hankel_det(engine, seq, n_max):
+    """The oracle of hankel_matrix(seq(), n, m), one seq() for every m."""
+    seq = cache(seq)
+    return _Minors(lambda n, m: hankel_matrix(seq(), n, m), n_max, engine)
+
+
+def _oracle_det(engine, tag, x, n_max):
+    return _Minors(lambda n, m: oracle_matrix(tag, n, m, x), n_max, engine)
 
 
 def _rows_of(tri):
@@ -266,11 +301,12 @@ def _rows_of(tri):
 
 
 def _suite_catalan_basics(spec: SuiteSpec):
-    catalan_det = partial(_hankel_det, spec.engine, CatalanSeq)
+    n_det = max(spec.n_max, 8)
+    catalan_det = _hankel_det(spec.engine, CatalanSeq, 5)
     return (
-        _grid(range(1, max(spec.n_max, 8) + 1), (0,), [
+        _grid(range(1, n_det + 1), (0,), [
             (_equality_case, f"catalan det ({engine})", "seq=catalan", _const(as_field(1)),
-             partial(_hankel_det, engine, CatalanSeq))
+             _hankel_det(engine, CatalanSeq, n_det))
             for engine in ENGINES
         ])
         + _grid(range(1, 6), range(6), [
@@ -386,14 +422,14 @@ def _suite_thm2_grid(spec: SuiteSpec):
              partial(_symbolic_det2, p), partial(qmoment_det, p=p)),
         ]) + _grid(range(1, spec.n_max + 1), range(spec.m_max + 1), [
             (_equality_case, "determinant formula vs oracle", str(p),
-             partial(_hankel_det, spec.engine, partial(PochRatioSeq, p.a, p.b, p.base)),
+             _hankel_det(spec.engine, partial(PochRatioSeq, p.a, p.b, p.base), spec.n_max),
              partial(qmoment_det, p=p)),
         ])
     return cases
 
 
-def _classical_oracle(engine, a, b, c, n, m):
-    return _hankel_det(engine, partial(RisingRatioSeq, a, b, c), n, m).as_rational()
+def _as_rational(det, n, m):
+    return det(n, m).as_rational()
 
 
 def _suite_classical_grid(spec: SuiteSpec):
@@ -401,7 +437,8 @@ def _suite_classical_grid(spec: SuiteSpec):
     for a, b, c in [(4, 1, 2), (3, 1, 1), (5, 2, 3)]:
         cases += _grid(range(1, spec.n_max + 1), range(spec.m_max + 1), [
             (_equality_case, "classical determinant vs oracle", f"(a={a}, b={b}, c={c})",
-             partial(_classical_oracle, spec.engine, a, b, c),
+             partial(_as_rational,
+                     _hankel_det(spec.engine, partial(RisingRatioSeq, a, b, c), spec.n_max)),
              partial(classical_det, a=a, b=b, c=c)),
         ])
     return cases + _grid(range(1, 7), (0,), [
@@ -413,27 +450,27 @@ def _suite_classical_grid(spec: SuiteSpec):
 _X_SAMPLES = (Fraction(2), Fraction(3), Fraction(5, 2))
 
 
-def _odd_even_relation(engine, n, m):
-    return _oracle_det(engine, "OddBinomialRel", None, n, m) == as_field(
-        Fraction(1, 2 ** n)
-    ) * _oracle_det(engine, "CentralBinomial", None, n, m + 1)
+def _odd_even_relation(odd, central, n, m):
+    return odd(n, m) == as_field(Fraction(1, 2 ** n)) * central(n, m + 1)
 
 
 def _suite_registry_grid(spec: SuiteSpec):
     ns, ms = range(1, spec.n_max + 1), range(spec.m_max + 1)
-    cases = []
+    cases, oracles = [], {}
     for tag in sorted(FORMULAS):
         formula = FORMULAS[tag]
         if formula.as_printed_mismatch:
             continue
         for x in _X_SAMPLES if formula.needs_x else (None,):
+            oracles[tag, x] = oracle = _oracle_det(spec.engine, tag, x, spec.n_max)
             cases += _grid(ns, (0,) if formula.shift_domain == "zero" else ms, [
                 (_equality_case, f"{tag} vs oracle", f"x={x}" if x is not None else "",
-                 partial(_oracle_det, spec.engine, tag, x), partial(closed_form, tag, x=x)),
+                 oracle, partial(closed_form, tag, x=x)),
             ])
     return cases + _grid(ns, ms, [
         (_bool_case, "odd/even binomial determinant relation", "",
-         partial(_odd_even_relation, spec.engine)),
+         partial(_odd_even_relation, oracles["OddBinomialRel", None],
+                 oracles["CentralBinomial", None])),
         (_equality_case, "CBqm final form equals expanded form", "",
          cbqm_expanded, partial(closed_form, "CBqm")),
     ]) + _grid((0,), (0,), [
@@ -449,7 +486,7 @@ def _suite_registry_grid(spec: SuiteSpec):
 
 
 def _suite_eq36(spec: SuiteSpec):
-    oracle = partial(_oracle_det, spec.engine, "RecipBracket", None)
+    oracle = _oracle_det(spec.engine, "RecipBracket", None, spec.n_max)
     return _grid(range(1, spec.n_max + 1), range(1, spec.m_max + 1), [
         (partial(_equality_case, xfail=True), "reciprocal-bracket formula as printed", "",
          oracle, partial(closed_form, "RecipBracket")),

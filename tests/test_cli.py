@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: commands, formats, exit codes."""
 
 import csv
+import hashlib
 import io
 import json
 import time
@@ -132,6 +133,16 @@ class TestDetCommand:
             ["command", "seq", "n", "m", "via", "engine", "result", "oracle", "matches"],
             ["det", "catalan", "2", "2", "lemma", "division", "3", "3", "True"],
         ]
+
+    @pytest.mark.parametrize("engine, digest", [
+        ("bareiss", "f9f1c7948b7f56859ed9ea9f7608f7dc98d3aca11336174ba970a27c3bab16d6"),
+        ("division", "46496392505aa85b81669d180756879f0fea493ea36f964b5e5949e272ebd7e3"),
+    ])
+    def test_benchmark_determinant_pinned(self, capsys, engine, digest):
+        # the n = 10 determinant of the benchmark, byte for byte
+        code, out, _ = run_cli(capsys, "det", "--seq", "c:q^2,q,q^2", "--n", "10", "--m", "1",
+                               "--format", "json", "--engine", engine)
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_engines_agree(self, capsys):
         _, out1, _ = run_cli(capsys, "det", "--seq", "andrews", "--n", "3", "--engine", "bareiss")
@@ -339,7 +350,7 @@ class TestSizeLimits:
         assert time.perf_counter() - start < 1.0
 
     def test_verify_bareiss_limit_exits_2_at_once(self, capsys):
-        # (10, 3) passes the default engine's joint limit; with Bareiss it ran 91 s
+        # (10, 3) passes the default engine's joint limit; with Bareiss it ran 80 s
         assert 2 * 10 + 3 <= VERIFY_SIZE_LIMIT
         start = time.perf_counter()
         code, out, err = run_cli(capsys, "verify", "all", "--n-max", "10", "--m-max", "3",

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hankelkit.closed_forms import oracle_matrix
 from hankelkit.errors import NotNormalized, SingularLeadingMinor
 from hankelkit.field import Polynomial, as_field, parse_field_expr, q
 from hankelkit.hankel import (
@@ -18,6 +19,7 @@ from hankelkit.hankel import (
     hankel_matrix,
     jacobi_from_moments,
     ldlt,
+    leading_minors,
 )
 from hankelkit.sequences import (
     CatalanSeq,
@@ -357,3 +359,65 @@ def test_det_engines_match_sympy(M):
     division = det_division(M)
     assert division == det_bareiss(M)
     assert _to_sympy(sympy, K, division) == expected
+
+
+@st.composite
+def symmetric_singular_leading(draw):
+    """Symmetric matrices of order 2-5 over Q(q) whose row k agrees with
+    c times row 0 up to column k, so the leading minor of order k + 1 is
+    zero while the larger ones usually are not."""
+    n = draw(st.integers(2, 5))
+    small = st.integers(-2, 2)
+    entry = st.builds(lambda a, b, d: (as_field(a) + as_field(b) * q) / d,
+                      small, small, st.sampled_from(_Q_DENS))
+    rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    k = draw(st.integers(1, n - 1))
+    c = draw(st.sampled_from((as_field(1), -q, as_field(2) / (1 + q))))
+    rows[0][k] = c * rows[0][0]
+    for j in range(1, k + 1):
+        rows[j][k] = c * rows[0][j]
+    return SquareMatrix([[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)])
+
+
+def _leading_block(M, k):
+    return SquareMatrix([row[:k] for row in M.entries[:k]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(symmetric_singular_leading(), symmetric_unnested(), small_matrices()),
+       st.sampled_from(("bareiss", "division")))
+def test_leading_minors_are_the_leading_block_determinants(M, engine):
+    expected = [det_exact(_leading_block(M, k), engine) for k in range(1, M.n + 1)]
+    assert list(leading_minors(M, engine)) == expected
+
+
+def test_leading_minors_past_a_zero_minor():
+    """Carlitz at m = 1 has d(2) = -q and d(3) = 0: the elimination stops
+    there and the larger orders take their own blocks."""
+    H = oracle_matrix("Carlitz", 5, 1)
+    for engine in ("bareiss", "division"):
+        minors = list(leading_minors(H, engine))
+        assert minors[1] == -q and minors[2].is_zero
+        assert minors == [det_exact(_leading_block(H, k), engine) for k in range(1, 6)]
+
+
+def test_leading_minors_advance_lazily(monkeypatch):
+    """Reading d(1) and d(2) of an order-6 matrix runs one elimination step,
+    which updates the 5 x 5 trailing block once."""
+    H = hankel_matrix(parse_sequence_spec("c:q^2,q,q^2"), 6, 1)
+    calls = []
+    floordiv = Polynomial.__floordiv__
+
+    def counted(self, other):
+        calls.append(other)
+        return floordiv(self, other)
+
+    monkeypatch.setattr(Polynomial, "__floordiv__", counted)
+    minors = leading_minors(H, "bareiss")
+    assert [next(minors), next(minors)] == [det_exact(_leading_block(H, k)) for k in (1, 2)]
+    assert len(calls) == 15  # the upper triangle of the trailing block
+
+
+def test_leading_minors_unknown_engine():
+    with pytest.raises(ValueError, match="unknown determinant engine"):
+        next(leading_minors(hankel_matrix(CatalanSeq(), 2, 0), "gauss"))

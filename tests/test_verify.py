@@ -4,17 +4,26 @@ import csv
 import hashlib
 import io
 import json
+import random
 from dataclasses import replace
+from fractions import Fraction
+from functools import partial
 
 import pytest
 
 from hankelkit.cli import SIZE_LIMITS
 from hankelkit.errors import InsufficientSamples
+from hankelkit import verify
 from hankelkit.field import F_ONE, q
+from hankelkit.hankel import ENGINES, det_exact, hankel_matrix
+from hankelkit.sequences import ExplicitSeq
 from hankelkit.verify import (
     SUITES,
     Case,
     SuiteSpec,
+    _equality_case,
+    _grid,
+    _hankel_det,
     _run_case,
     build_cases,
     report_to_csv,
@@ -152,16 +161,65 @@ class TestRunSuite:
     def test_thm1_grid_does_not_depend_on_call_order(self):
         # the cases of one parameter point share tables that fill as they are read
         spec = SuiteSpec("thm1-grid", n_max=3)
-
-        def timing_free(records):
-            return [replace(r, wall_ms=0.0) for r in records]
-
         forward = timing_free(run_suite(spec).records)
         assert timing_free(run_suite(spec).records) == forward
         cases = build_cases(spec)
         assert timing_free([_run_case(c) for c in reversed(cases)][::-1]) == forward
         # the same cases again, now on filled tables
         assert timing_free([_run_case(c) for c in cases]) == forward
+
+
+    @pytest.mark.parametrize("suite", ["thm2-grid", "registry-grid"])
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_shared_minors_do_not_depend_on_call_order(self, suite, engine):
+        # the oracle cases of one matrix source share one elimination per m
+        spec = SuiteSpec(suite, n_max=3, m_max=2, engine=engine)
+        forward = timing_free(run_suite(spec).records)
+        cases = build_cases(spec)
+        order = list(range(len(cases)))
+        random.Random(15).shuffle(order)
+        shuffled = {i: _run_case(cases[i]) for i in order}
+        assert timing_free([shuffled[i] for i in range(len(cases))]) == forward
+        alone = [_run_case(build_cases(spec)[i]) for i in range(len(cases))]
+        assert timing_free(alone) == forward
+
+    def test_one_matrix_per_source_and_shift(self, monkeypatch):
+        built = []
+
+        def counted(seq, n, m):
+            built.append((n, m))
+            return hankel_matrix(seq, n, m)
+
+        monkeypatch.setattr(verify, "hankel_matrix", counted)
+        spec = SuiteSpec("thm2-grid", n_max=4, m_max=2)
+        cases = build_cases(spec)
+        assert built == []  # the case list builds nothing
+        assert all(r.holds for r in map(_run_case, cases))
+        assert sorted(built) == [(4, m) for m in range(3) for _ in range(7)]
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_pole_fails_only_the_orders_that_read_it(self, engine):
+        """Seven terms: the order-4 matrix at m >= 1 reads term 7, so those
+        shifts take one matrix per order, and only (4, 1) and (4, 2) fail,
+        with the records of a fresh per-case matrix."""
+        seq = partial(ExplicitSeq, [Fraction(1, k + 1) for k in range(7)])
+
+        def records(oracle):
+            other = next(e for e in ENGINES if e != engine)
+            return timing_free(map(_run_case, _grid(range(1, 5), range(3), [
+                (_equality_case, "pole", "", oracle,
+                 lambda n, m: det_exact(hankel_matrix(seq(), n, m), other)),
+            ])))
+
+        shared = records(_hankel_det(engine, seq, 4))
+        assert shared == records(lambda n, m: det_exact(hankel_matrix(seq(), n, m), engine))
+        assert [(r.n, r.m) for r in shared if not r.holds] == [(4, 1), (4, 2)]
+        assert {r.error for r in shared if not r.holds} == {
+            "PoleInSequence: explicit sequence has only 7 terms"}
+
+
+def timing_free(records):
+    return [replace(r, wall_ms=0.0) for r in records]
 
 
 def _sha256(text):
