@@ -38,8 +38,8 @@ SIZE_LIMITS = {"n": 22, "m": 35, "depth": 22, "rows": 22, "n_max": 10, "m_max": 
 # at 23 it took 34-49 s for n_max 5-10, at 24 it took 53-67 s for n_max 7-10.
 VERIFY_SIZE_LIMIT = 23
 # With --engine bareiss the grids' determinants take longer, the more so the
-# larger n_max: at 23 verify all took 31-43 s at n_max 5-6 and 63-83 s at
-# 7-10; at 22 16-45 s for n_max 4-10.
+# larger n_max: at 23 verify all took 28-48 s at n_max 5-8 and 60-68 s at
+# 9-10; at 22 14-38 s for n_max 4-10.
 VERIFY_BAREISS_SIZE_LIMIT = 22
 # det's time follows 2 n + m too, as its matrix reads c(m .. 2n - 2 + m): on
 # c:q^2,q,q^2 at 46 it took 23-35 s for n 16-22, at 47 58 s for n = 22.
@@ -49,9 +49,10 @@ DET_SIZE_LIMIT = 46
 # 53 s at n = 22 (Andrewsm 48, QHilbert 27); at 45 the three took at most 43 s.
 CROSS_CHECK_SIZE_LIMIT = 45
 # With --engine bareiss, det and closed-form --cross-check follow 3 n + m, as
-# Bareiss grows faster in n than in m: on c:q^2,q,q^2 at 46 it took 18-39 s
-# for n 8-15, at 47 25-47 s for n 9-15, and 66 s at (n, m) = (16, 0).
-BAREISS_SIZE_LIMIT = 46
+# Bareiss grows faster in n than in m: on c:q^2,q,q^2 at 50 det took 28-43 s
+# for n 9-16, and with --cross-check det, CBqm and Andrewsm took 37-48 s at
+# n 10-16.  51, which admits (17, 0), is untimed: det alone took 35 s at (16, 0).
+BAREISS_SIZE_LIMIT = 50
 # det --cross-check adds the Jacobi route (jacobi_from_moments, det_from_jacobi)
 # to the elimination, 103 s at (22, 2): at 44 the pair took 49-62 s for n 19-22,
 # at 43 33-39 s for n 17-21, at 42 20-34 s for n 11-21.

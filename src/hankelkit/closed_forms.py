@@ -240,6 +240,7 @@ def _qhilbert_value(n, m, x=None):
 
 
 def _recip_bracket_value(n, m, x=None):
+    _recip_bracket_shift(m)
     sign = -1 if comb(n, 2) % 2 else 1
     result = sign * q ** (n * (n - 1) ** 2 // 2)
     for j in range(n + m - 1):
@@ -305,9 +306,15 @@ def _andrewsm_value(n, m, x=None):
     return result * _andrews0_value(n)
 
 
-def _recip_bracket_entries(m, x):
+def _recip_bracket_shift(m):
+    """The matrix 1/[i + j + m] has the entry 1/[0] at m = 0, so neither it
+    nor the formula claiming its determinant is defined there."""
     if m == 0:
         raise PoleInFormula("matrix entry 1/[0] is undefined at m = 0")
+
+
+def _recip_bracket_entries(m, x):
+    _recip_bracket_shift(m)
     return lambda k: _div(F_ONE, q_int(k))
 
 

@@ -14,10 +14,30 @@ L_0 ... L_(n-1) back out.  By Sylvester's identity, after step k - 1 a_ij
 is L_0 ... L_(k-1) L_i times the minor of M on rows 0..k-1, i and columns
 0..k-1, j, which is symmetric in i and j when M is, so a_ji = a_ij L_j / L_i.
 Until its first row swap the engine updates only the upper triangle and
-reads the pivot column off the pivot row, one product by L_i / L_k per row:
-165 exact divisions at n = 10 instead of 285.  On c:q^2,q,q^2 with m = 1
-the median of 5 interleaved runs went from 1.49 to 0.95 s (2 cores, Python
-3.11).
+reads the pivot column off the pivot row, one product by L_i / L_k per row.
+
+There it also takes two columns per pass, the two-step scheme of Bareiss's
+paper ("Sylvester's identity and multistep integer-preserving Gaussian
+elimination").  With every entry at level k (after step k - 1) and p the
+pivot of step k - 1 (1 at k = 0), the pass at k forms
+
+    x_j = (a_kk a_(k+1)j - a_(k+1)k a_kj) / p                 for j >= k + 1,
+    y_j = (a_k(k+1) a_(k+1)j - a_kj a_(k+1)(k+1)) / p         for j >= k + 2,
+    a_ij <- (c0 a_ij - a_i(k+1) x_j + a_ik y_j) / p           for k + 2 <= i <= j,
+
+where x is row k + 1 at level k + 1 and c0 = x_(k+1) is the pivot of step
+k + 1.  The numerator of the update is the 3 x 3 determinant of level-k
+entries on rows k, k + 1, i and columns k, k + 1, j, expanded along its last
+row; by Sylvester's identity that determinant is p^2 times a_ij at level
+k + 2, and the 2 x 2 determinant in y_j is p times a minor of M's rows, so
+every division is exact.  An entry costs 3 products and 1 exact division
+per two columns against 4 and 2 for two single steps: 115 exact divisions
+at n = 10, where one column per step takes 165 and the full square 285.  A
+zero c0 (step k then runs alone and step k + 1 swaps), the last odd column
+and every step after a swap go one column at a time.  On c:q^2,q,q^2 with
+m = 1 at n = 10, the best of 4 in-process runs took 0.76-0.81 s one column
+per step and 0.62-0.67 s two columns per pass (5 alternating processes,
+2 cores, Python 3.11).
 
 ``leading_minors`` reads every leading minor d(1), ..., d(n) off one
 elimination, the way the paper's Lemma reads every Hankel determinant off
@@ -149,8 +169,9 @@ def _bareiss(M: SquareMatrix):
     and the product of the clearing lcms so far.  A zero pivot (nothing to
     swap in) is yielded last.  Until the first swap a_kk / (L_0 ... L_k) is
     the leading minor of order k + 1.  While M is symmetric and unswapped, a
-    step updates only the upper triangle and takes a_ik = a_ki L_i / L_k
-    (module docstring).
+    step updates only the upper triangle and takes a_ik = a_ki L_i / L_k,
+    and a pass takes steps k and k + 1 together, yielding the step-(k + 1)
+    pivot as soon as it is known (module docstring).
     """
     n = M.n
     symmetric = _is_symmetric(M.entries)
@@ -174,8 +195,8 @@ def _bareiss(M: SquareMatrix):
             ratio = ratio * ext[i]
             a[i][j] = a[j][i] * ratio
 
-    prev = P_ONE
-    for k in range(n):
+    prev, k = P_ONE, 0
+    while k < n:
         swapped = a[k][k].is_zero
         if swapped:
             if symmetric:
@@ -192,11 +213,28 @@ def _bareiss(M: SquareMatrix):
         yield swapped, pivot, dens[k]
         if symmetric:
             mirror(k)
+        if symmetric and k + 2 < n:
+            # steps k and k + 1 in one pass (module docstring)
+            nxt, a10 = a[k + 1], a[k + 1][k]
+            c0 = (pivot * nxt[k + 1] - a10 * top[k + 1]) // prev
+            if not c0.is_zero:
+                yield False, c0, dens[k + 1]
+                mirror(k + 1)
+                a01, a11, s = top[k + 1], nxt[k + 1], k + 2
+                x = [(pivot * nxt[j] - a10 * top[j]) // prev for j in range(s, n)]
+                y = [(a01 * nxt[j] - top[j] * a11) // prev for j in range(s, n)]
+                for i in range(s, n):
+                    row, ai0, ai1 = a[i], a[i][k], a[i][k + 1]
+                    for j in range(i, n):
+                        row[j] = (c0 * row[j] - ai1 * x[j - s] + ai0 * y[j - s]) // prev
+                prev, k = c0, s
+                continue
+            # a zero minor: step k alone, then step k + 1 swaps
         for i in range(k + 1, n):
             row, aik = a[i], a[i][k]
             for j in range(i if symmetric else k + 1, n):
                 row[j] = (pivot * row[j] - aik * top[j]) // prev
-        prev = pivot
+        prev, k = pivot, k + 1
 
 
 def det_bareiss(M: SquareMatrix) -> FieldElem:

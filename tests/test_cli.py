@@ -205,6 +205,14 @@ class TestClosedFormCommand:
         assert code == 0
         assert parse_field_expr(out.strip()) == q / ((1 + q) ** 2 * (1 + q + q ** 2))
 
+    def test_recip_bracket_is_undefined_at_m_0(self, capsys):
+        # its matrix holds 1/[0] there, so the printed formula's 0 is no answer
+        for extra in ((), ("--cross-check",)):
+            code, out, err = run_cli(capsys, "closed-form", "RecipBracket", "--n", "3",
+                                     "--m", "0", *extra)
+            assert code == 3 and out == ""
+            assert "math error: matrix entry 1/[0] is undefined at m = 0" in err
+
     def test_x_parameter(self, capsys):
         code, out, _ = run_cli(
             capsys, "closed-form", "BracketFalling", "--n", "2", "--x", "5/2", "--cross-check"
@@ -350,7 +358,7 @@ class TestSizeLimits:
         assert time.perf_counter() - start < 1.0
 
     def test_verify_bareiss_limit_exits_2_at_once(self, capsys):
-        # (10, 3) passes the default engine's joint limit; with Bareiss it ran 80 s
+        # (10, 3) passes the default engine's joint limit; with Bareiss it ran 60 s
         assert 2 * 10 + 3 <= VERIFY_SIZE_LIMIT
         start = time.perf_counter()
         code, out, err = run_cli(capsys, "verify", "all", "--n-max", "10", "--m-max", "3",
@@ -411,8 +419,8 @@ class TestSizeLimits:
 
     @pytest.mark.parametrize("argv", [
         ["det", "--seq", "c:q^2,q,q^2", "--n", "22", "--m", "2"],
-        ["det", "--seq", "c:q^2,q,q^2", "--n", "15", "--m", "2", "--cross-check"],
-        ["closed-form", "CBqm", "--n", "15", "--m", "2", "--cross-check"],
+        ["det", "--seq", "c:q^2,q,q^2", "--n", "15", "--m", "6", "--cross-check"],
+        ["closed-form", "CBqm", "--n", "15", "--m", "6", "--cross-check"],
     ])
     def test_bareiss_limit_exits_2_at_once(self, capsys, argv):
         # each passes the limits of the default engine, which is faster

@@ -275,6 +275,8 @@ class TestRegistry:
                     assert M[i, j] == as_field(c(i + j + m)), (tag, i, j)
         with pytest.raises(PoleInFormula):
             oracle_matrix("RecipBracket", 2, 0)
+        with pytest.raises(PoleInFormula):
+            closed_form("RecipBracket", 2, 0)
 
 
 class TestQToOneBridges:

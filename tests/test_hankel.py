@@ -271,10 +271,11 @@ def test_engines_agree_on_random_matrices():
 
 
 def test_symmetric_bareiss_updates_only_the_upper_triangle(monkeypatch):
-    """A symmetric matrix with no swap takes sum_(k < n-1) (n-k-1)(n-k)/2
-    exact divisions: 84 at n = 8, where the full square takes 140."""
-    H = hankel_matrix(parse_sequence_spec("c:q^2,q,q^2"), 8, 0)
-    expected = det_division(H)
+    """A symmetric matrix with no swap and no zero minor takes two columns
+    per pass over the upper triangle.  The pass over the r = n - k - 2 rows
+    below rows k and k + 1 makes 1 + 2r + r(r + 1)/2 exact divisions, and an
+    even n ends with one step of 1: 62 at n = 8 and 115 at n = 10, where
+    one column per step takes 84 and 165 and the full square 140 and 285."""
     calls = []
     floordiv = Polynomial.__floordiv__
 
@@ -282,17 +283,41 @@ def test_symmetric_bareiss_updates_only_the_upper_triangle(monkeypatch):
         calls.append(other)
         return floordiv(self, other)
 
-    monkeypatch.setattr(Polynomial, "__floordiv__", counted)
-    assert det_bareiss(H) == expected
-    assert len(calls) == sum((8 - k - 1) * (8 - k) // 2 for k in range(7)) == 84
+    for n, m, divisions in ((8, 0, 62), (10, 1, 115)):
+        H = hankel_matrix(parse_sequence_spec("c:q^2,q,q^2"), n, m)
+        expected = det_division(H)
+        calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(Polynomial, "__floordiv__", counted)
+            assert det_bareiss(H) == expected
+        assert len(calls) == sum(1 + 2 * r + r * (r + 1) // 2
+                                 for r in range(n - 2, -1, -2)) == divisions
 
 
 def test_symmetric_bareiss_swaps_out_of_symmetric_steps():
-    """The pivot vanishes at step 1, and the clearing lcms 1, 1 + q and
+    """The step-1 pivot c0 of the first two-column pass vanishes, so step 0
+    runs alone and step 1 swaps; the clearing lcms 1, 1 + q and
     (1 + q)(2 - q) differ, so the mirrored lower triangle is scaled."""
     H = hankel_matrix(parse_sequence_spec("explicit:1,q,q^2,1/(1+q),1/(2-q)"), 3, 0)
     expected = parse_field_expr("(-q^8 - 2*q^7 - q^6 + 2*q^4 + 2*q^3 - 1) / (q^2 + 2*q + 1)")
     assert det_bareiss(H) == det_division(H) == expected
+
+
+@pytest.mark.parametrize("spec, n, minors", [
+    ("explicit:1,1,2,5,14,42,131,q,1/(1+q),q^2,3", 6, "1, 1, 1, 0, -q^2 + 834*q - 173889"),
+    ("explicit:1,1,2,5,14,42,132,429,1430,4862,16795,q,1/(1+q)", 7,
+     "1, 1, 1, 1, 1, 0, -q^2 + 117532*q - 3453442756"),
+], ids=("d4-zero", "d6-zero"))
+def test_two_step_bareiss_falls_back_after_a_completed_pass(spec, n, minors):
+    """Catalan numbers up to the corner c(2k + 2) of d(k + 2), lowered by 1,
+    so d(k + 2) = 0 for k = 2 and 4: after the earlier passes complete, c0
+    of the pass at k vanishes, so step k runs alone and step k + 1 swaps."""
+    H = hankel_matrix(parse_sequence_spec(spec), n, 0)
+    expected = [parse_field_expr(v) for v in minors.split(", ")]
+    got = list(leading_minors(H, "bareiss"))
+    assert got[:len(expected)] == expected
+    assert got == list(leading_minors(H, "division"))
+    assert got == [det_division(_leading_block(H, k)) for k in range(1, n + 1)]
 
 
 _Q_DENS = (as_field(1), 1 + q, 2 - q)
@@ -363,10 +388,10 @@ def test_det_engines_match_sympy(M):
 
 @st.composite
 def symmetric_singular_leading(draw):
-    """Symmetric matrices of order 2-5 over Q(q) whose row k agrees with
+    """Symmetric matrices of order 2-7 over Q(q) whose row k agrees with
     c times row 0 up to column k, so the leading minor of order k + 1 is
     zero while the larger ones usually are not."""
-    n = draw(st.integers(2, 5))
+    n = draw(st.integers(2, 7))
     small = st.integers(-2, 2)
     entry = st.builds(lambda a, b, d: (as_field(a) + as_field(b) * q) / d,
                       small, small, st.sampled_from(_Q_DENS))
@@ -402,8 +427,9 @@ def test_leading_minors_past_a_zero_minor():
 
 
 def test_leading_minors_advance_lazily(monkeypatch):
-    """Reading d(1) and d(2) of an order-6 matrix runs one elimination step,
-    which updates the 5 x 5 trailing block once."""
+    """Reading d(1) and d(2) of an order-6 matrix costs one exact division:
+    d(2) is the pivot c0 of the first two-column pass, yielded before the
+    rest of the pass."""
     H = hankel_matrix(parse_sequence_spec("c:q^2,q,q^2"), 6, 1)
     calls = []
     floordiv = Polynomial.__floordiv__
@@ -415,7 +441,7 @@ def test_leading_minors_advance_lazily(monkeypatch):
     monkeypatch.setattr(Polynomial, "__floordiv__", counted)
     minors = leading_minors(H, "bareiss")
     assert [next(minors), next(minors)] == [det_exact(_leading_block(H, k)) for k in (1, 2)]
-    assert len(calls) == 15  # the upper triangle of the trailing block
+    assert len(calls) == 1
 
 
 def test_leading_minors_unknown_engine():
