@@ -383,6 +383,11 @@ def closed_form(tag: str, n: int, m: int = 0, x=None) -> FieldElem:
     return _formula(tag, n, m, x).value(n, m, x)
 
 
+def oracle_terms(tag: str, n: int, m: int = 0, x=None):
+    """The terms c of the defining matrix, a MomentSeq or a function of the index."""
+    return _formula(tag, n, m, x).entries(m, x)
+
+
 def oracle_matrix(tag: str, n: int, m: int = 0, x=None) -> SquareMatrix:
     """The defining matrix whose brute-force determinant the formula claims."""
-    return hankel_matrix(_formula(tag, n, m, x).entries(m, x), n, m)
+    return hankel_matrix(oracle_terms(tag, n, m, x), n, m)

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: commands, formats, exit codes."""
 
+import contextlib
 import csv
 import hashlib
 import io
@@ -7,11 +8,16 @@ import json
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hankelkit.cli import (BAREISS_SIZE_LIMIT, CLOSED_FORM_SIZE_LIMIT, CROSS_CHECK_SIZE_LIMIT,
-                           DET_CROSS_CHECK_SIZE_LIMIT, DET_SIZE_LIMIT, SIZE_LIMITS,
-                           VERIFY_BAREISS_SIZE_LIMIT, VERIFY_SIZE_LIMIT, main)
+from hankelkit import cli
+from hankelkit.cli import (BAREISS_BUDGET, BAREISS_SIZE_LIMIT, CLOSED_FORM_SIZE_LIMIT, CROSS_CHECK_SIZE_LIMIT,
+                           DET_CROSS_CHECK_SIZE_LIMIT, DET_SIZE_LIMIT, FIELD_BUDGET, SIZE_LIMITS,
+                           VERIFY_BAREISS_SIZE_LIMIT, VERIFY_SIZE_LIMIT, _admit, main)
+from hankelkit.closed_forms import oracle_terms
 from hankelkit.field import parse_field_expr, q
+from hankelkit.sequences import parse_sequence_spec
 
 
 def run_cli(capsys, *argv):
@@ -115,6 +121,21 @@ class TestDetCommand:
             capsys, "det", "--seq", "catalan", "--n", "3", "--m", "2", "--via", "lemma"
         )
         assert code == 0 and out.strip() == "4"
+
+    def test_lemma_route_normalizes_at_m_0(self, capsys):
+        # c(0) = 2: the route divides by c(0) as by any c(m), det [[2, 3], [3, 5]] = 1
+        for via in ("lemma", "oracle"):
+            code, out, _ = run_cli(capsys, "det", "--seq", "explicit:2,3,5", "--n", "2",
+                                   "--via", via)
+            assert code == 0 and out.strip() == "1"
+
+    def test_lemma_route_of_a_shift_spec(self, capsys):
+        # the same matrix as a shift: spec at m = 0 and as the plain spec at m = 1
+        for argv in (["--seq", "shift:1:explicit:7,2,3,5"],
+                     ["--seq", "explicit:7,2,3,5", "--m", "1"]):
+            code, out, _ = run_cli(capsys, "det", *argv, "--n", "2", "--via", "lemma",
+                                   "--cross-check")
+            assert code == 0 and out.splitlines() == ["1", "cross-check: 1", "matches: yes"]
 
     def test_cross_check(self, capsys):
         code, out, _ = run_cli(
@@ -437,6 +458,82 @@ class TestSizeLimits:
                                "--engine", "bareiss")
         assert code == 0 and out
 
+    @pytest.mark.parametrize("argv", [
+        ["det", "--seq", "c:q^1000,q,q^1000", "--n", "5"],
+        ["jacobi", "--seq", "c:q^1000,q,q^1000", "--depth", "6"],
+    ])
+    def test_high_degree_commands_exit_2_at_once(self, capsys, argv):
+        # each passes every limit on n and m, and ran for minutes before the size budget
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert (f"passes {FIELD_BUDGET / 1e6:g} Mbit of coefficients, the size budget of "
+                f"1 field elimination at {FIELD_BUDGET / 1e6:g} Mbit") in err
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("argv, fields, bareiss, inside, outside", [
+        # division: 13.2 and 14.8 Mbit
+        (["det"], 1, 0, (21, 1), (21, 2)),
+        # the lemma route runs ldlt, another _eliminate
+        (["det", "--via", "lemma"], 1, 0, (21, 1), (21, 2)),
+        # division and the lemma route: 6.9 and 7.9 Mbit, twice
+        (["det", "--cross-check"], 2, 0, (19, 0), (19, 1)),
+        # Bareiss: 1.10 and 1.32 Mbit, 13 times
+        (["det", "--engine", "bareiss"], 0, 1, (13, 1), (13, 2)),
+        # Bareiss and the lemma route: 1.07 and 1.28 Mbit, 12 times and once
+        (["det", "--engine", "bareiss", "--cross-check"], 1, 1, (12, 3), (12, 4)),
+    ])
+    def test_budget_edges(self, capsys, argv, fields, bareiss, inside, outside):
+        # each pair passes the joint limits; the point inside is only admitted
+        # here, since running it takes 10-30 s
+        seq = parse_sequence_spec("c:q^2,q,q^2")
+        _admit(seq, *inside, fields=fields, bareiss=bareiss)
+        with pytest.raises(ValueError, match="size budget"):
+            _admit(seq, *outside, fields=fields, bareiss=bareiss)
+        n, m = outside
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv, "--seq", "c:q^2,q,q^2", "--n", str(n),
+                                 "--m", str(m))
+        assert code == 2 and out == "" and "size budget" in err
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("engine, inside, outside", [
+        ("division", (21, 1), (21, 2)),
+        ("bareiss", (13, 1), (13, 2)),
+    ])
+    def test_cross_check_oracle_takes_the_budget(self, capsys, engine, inside, outside):
+        # CBqm's oracle is the matrix of c:q^2,q,q^2, charged as det charges it
+        bareiss = int(engine == "bareiss")
+        _admit(oracle_terms("CBqm", *inside), *inside, fields=1 - bareiss, bareiss=bareiss)
+        n, m = outside
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "closed-form", "CBqm", "--n", str(n), "--m", str(m),
+                                 "--cross-check", "--engine", engine)
+        assert code == 2 and out == "" and "size budget" in err
+        assert time.perf_counter() - start < 1.0
+
+    def test_terms_below_the_matrix_are_charged(self, capsys):
+        # c(35) alone would take minutes to build; the terms below it pass the
+        # budget after about 2 s, whether the shift is --m or a shift: spec
+        for argv in (["--seq", "c:q^1000,q,q^1000", "--m", "35"],
+                     ["--seq", "shift:35:c:q^1000,q,q^1000"],
+                     ["--seq", "scale:2:shift:35:c:q^1000,q,q^1000"]):
+            start = time.perf_counter()
+            code, out, err = run_cli(capsys, "det", *argv, "--n", "1")
+            assert code == 2 and out == "" and "size budget" in err
+            assert time.perf_counter() - start < 5.0
+
+    def test_shifts_of_the_spec_take_the_m_cap(self, capsys):
+        # shift:30 and --m 5 build the terms below c(35) either way
+        code, out, _ = run_cli(capsys, "det", "--seq", "shift:30:catalan", "--n", "2",
+                               "--m", "5")
+        assert code == 0 and out.strip() == "159047565712116725864031283601069304"
+        code, out, err = run_cli(capsys, "det", "--seq", "shift:30:catalan", "--n", "2",
+                                 "--m", "6")
+        assert code == 2 and out == ""
+        assert f"--m and the shifts of the spec together exceed the limit {SIZE_LIMITS['m']}" \
+            in err
+
     def test_benchmark_sizes_are_allowed(self):
         assert SIZE_LIMITS["n"] >= 10 and SIZE_LIMITS["m"] >= 1
         assert SIZE_LIMITS["depth"] >= 10 and SIZE_LIMITS["rows"] >= 18
@@ -449,6 +546,74 @@ class TestSizeLimits:
         # cross-checks it with --engine bareiss
         assert DET_SIZE_LIMIT >= 2 * 10 + 1 and DET_CROSS_CHECK_SIZE_LIMIT >= 2 * 10 + 1
         assert BAREISS_SIZE_LIMIT >= 3 * 10 + 1
+        # and the size budget admits them: det-kernels and roundtrip-verify on
+        # either spec of their pool, and CI's n = 13 Bareiss determinant and
+        # n = 10 lemma cross-check with Bareiss
+        for spec in ("c:q^2,q,q^2", "c:q^2,-q,q^2"):
+            _admit(parse_sequence_spec(spec), 10, 1)
+            _admit(parse_sequence_spec(spec), 10, 1, fields=0, bareiss=1)
+            _admit(parse_sequence_spec(spec), 10)
+            _admit(parse_sequence_spec(spec), 18)
+        _admit(parse_sequence_spec("c:q^2,q,q^2"), 13, 1, fields=0, bareiss=1)
+        _admit(parse_sequence_spec("c:q^2,q,q^2"), 10, 1, fields=1, bareiss=1)
+
+
+_EXPRS = ("0", "1", "-1", "2", "1/2", "q", "-q", "q^2", "2*q", "q/(1+q)", "q^40", "q^1000")
+
+
+@st.composite
+def sequence_specs(draw, depth=2):
+    kind = draw(st.sampled_from(("catalan", "c", "u", "explicit", "shift", "scale")
+                                if depth else ("catalan", "c", "u", "explicit")))
+    if kind == "catalan":
+        return draw(st.sampled_from(("catalan", "central-binomial", "andrews")))
+    if kind == "c":
+        return "c:" + ",".join(draw(st.sampled_from(_EXPRS)) for _ in range(3))
+    if kind == "u":
+        return "u:" + ",".join(draw(st.sampled_from(("0", "1", "-1", "2", "1/2", "-3/2")))
+                               for _ in range(3))
+    if kind == "explicit":
+        return "explicit:" + ",".join(draw(st.lists(st.sampled_from(_EXPRS), min_size=1,
+                                                    max_size=9)))
+    inner = draw(sequence_specs(depth - 1))
+    if kind == "shift":
+        return f"shift:{draw(st.integers(0, 6))}:{inner}"
+    return f"scale:{draw(st.sampled_from(_EXPRS))}:{inner}"
+
+
+@st.composite
+def spec_commands(draw):
+    seq = draw(sequence_specs())
+    command = draw(st.sampled_from(("det", "jacobi", "triangle")))
+    if command == "jacobi":
+        return ["jacobi", "--seq", seq, "--depth", str(draw(st.integers(2, 6)))]
+    if command == "triangle":
+        return ["triangle", "--seq", seq, "--rows", str(draw(st.integers(1, 6)))]
+    argv = ["det", "--seq", seq, "--n", str(draw(st.integers(1, 6))),
+            "--m", str(draw(st.integers(0, 6))),
+            "--via", draw(st.sampled_from(("oracle", "lemma"))),
+            "--engine", draw(st.sampled_from(("bareiss", "division")))]
+    return argv + (["--cross-check"] if draw(st.booleans()) else [])
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec_commands())
+def test_drawn_commands_end_cleanly(argv):
+    """Every drawn spec command ends with exit 0, 2 or 3 and no traceback,
+    in under 5 s.  The budgets are cut 20-fold, so that every admitted
+    command is quick at these orders; at full size the limits bound the
+    time at 50 s (README "Size limits")."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "FIELD_BUDGET", FIELD_BUDGET // 20)
+        patch.setattr(cli, "BAREISS_BUDGET", BAREISS_BUDGET // 20)
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exit_:
+                code = exit_.code
+        assert code in (0, 2, 3)
+        assert time.perf_counter() - start < 5.0
 
 
 class TestRenderRoundTrip:

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hankelkit.closed_forms import oracle_matrix
@@ -386,22 +386,28 @@ def test_det_engines_match_sympy(M):
     assert _to_sympy(sympy, K, division) == expected
 
 
-@st.composite
-def symmetric_singular_leading(draw):
-    """Symmetric matrices of order 2-7 over Q(q) whose row k agrees with
-    c times row 0 up to column k, so the leading minor of order k + 1 is
-    zero while the larger ones usually are not."""
-    n = draw(st.integers(2, 7))
+def _with_zero_minor(draw, n, k=None):
+    """A symmetric matrix of order n over Q(q) whose row k agrees with c
+    times row 0 up to column k, so the leading minor of order k + 1 is zero;
+    k is drawn after the entries when not given."""
     small = st.integers(-2, 2)
     entry = st.builds(lambda a, b, d: (as_field(a) + as_field(b) * q) / d,
                       small, small, st.sampled_from(_Q_DENS))
     rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
-    k = draw(st.integers(1, n - 1))
+    if k is None:
+        k = draw(st.integers(1, n - 1))
     c = draw(st.sampled_from((as_field(1), -q, as_field(2) / (1 + q))))
     rows[0][k] = c * rows[0][0]
     for j in range(1, k + 1):
         rows[j][k] = c * rows[0][j]
     return SquareMatrix([[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)])
+
+
+@st.composite
+def symmetric_singular_leading(draw):
+    """Symmetric matrices of order 2-7 whose leading minor of a drawn order
+    is zero while the larger ones usually are not."""
+    return _with_zero_minor(draw, draw(st.integers(2, 7)))
 
 
 def _leading_block(M, k):
@@ -414,6 +420,28 @@ def _leading_block(M, k):
 def test_leading_minors_are_the_leading_block_determinants(M, engine):
     expected = [det_exact(_leading_block(M, k), engine) for k in range(1, M.n + 1)]
     assert list(leading_minors(M, engine)) == expected
+
+
+@st.composite
+def symmetric_zero_pass_pivot(draw):
+    """Symmetric matrices of order 5-7 whose first zero leading minor has
+    order 4 or 6: the pivot of step 3 or 5, which is c0 of Bareiss's
+    two-column pass at k = 2 or 4, after one or two completed passes."""
+    n, k = draw(st.sampled_from(((5, 3), (6, 3), (7, 3), (7, 5))))
+    M = _with_zero_minor(draw, n, k)
+    assume(all(not det_division(_leading_block(M, j)).is_zero for j in range(1, k + 1)))
+    return M, k
+
+
+@settings(max_examples=30, deadline=None)
+@given(symmetric_zero_pass_pivot())
+def test_zero_minor_at_a_later_pass_pivot(drawn):
+    M, k = drawn
+    expected = [det_division(_leading_block(M, j)) for j in range(1, M.n + 1)]
+    assert expected[k].is_zero
+    for engine in ("bareiss", "division"):
+        assert list(leading_minors(M, engine)) == expected
+        assert det_exact(M, engine) == expected[-1]
 
 
 def test_leading_minors_past_a_zero_minor():
