@@ -15,10 +15,10 @@ import sys
 
 from .closed_forms import FORMULAS, closed_form, oracle_terms
 from .errors import HankelkitError, MissingParameter, NotNormalized, ParseError
-from .field import FieldElem, _bits, coeff_strings, parse_field_expr
+from .field import FieldElem, coeff_strings, parse_field_expr
 from .hankel import (DEFAULT_ENGINE, ENGINES, det_exact, det_from_jacobi, hankel_matrix,
                      jacobi_from_moments)
-from .sequences import ExplicitSeq, MomentSeq, ScaledSeq, ShiftedSeq, parse_sequence_spec
+from .sequences import ExplicitSeq, MomentSeq, parse_sequence_spec
 from .triangle import JacobiParams, TSeq, Triangle, build_triangle, build_zero_s_triangle, contract
 from .verify import SUITES, SuiteSpec, report_to_csv, report_to_json, report_to_text, run_suite
 
@@ -27,15 +27,13 @@ MATH_ERROR = 3
 
 # Upper limits of the size options, checked before any work.  Each is the
 # largest value measured to finish in under 50 s with the default engine
-# (2 cores, Python 3.11).  One order cap serves --n, --depth and --rows: on
-# c:q^2,q,q^2 jacobi took 37 s at depth 22 (119 s at 26) and triangle --seq
-# 35 s at 22 rows (60 s at 24).  The m cap also bounds the shifts of a shift:
-# spec, since the terms below the matrix are built too: det at n = 10 took
-# 37 s at m = 35 (67 s at 40).  verify all, the other bound at its default,
-# took 48 s at --n-max 10 (73 s at 11) and 43 s at --m-max 14 (52 s at 15).
-ORDER_LIMIT = 22
-SIZE_LIMITS = {"n": ORDER_LIMIT, "m": 35, "depth": ORDER_LIMIT, "rows": ORDER_LIMIT,
-               "n_max": 10, "m_max": 14}
+# (2 cores, Python 3.11).  On c:q^2,q,q^2: det at m = 1 took 47 s at n = 22,
+# det at n = 10 took 37 s at m = 35 (67 s at 40), jacobi took 37 s at
+# depth 22 (119 s at 26), triangle --seq took 35 s at 22 rows (60 s at 24).
+# The m cap also bounds --m plus the shifts of a shift: spec, whose terms
+# below the matrix are built too.  verify all, the other bound at its
+# default, took 48 s at --n-max 10 (73 s at 11) and 43 s at --m-max 14 (52 s at 15).
+SIZE_LIMITS = {"n": 22, "m": 35, "depth": 22, "rows": 22, "n_max": 10, "m_max": 14}
 
 # Jointly, verify all's time follows 2 n_max + m_max, as its grids read c(2n - 2 + m):
 # at 23 it took 34-49 s for n_max 5-10, at 24 it took 53-67 s for n_max 7-10.
@@ -44,25 +42,17 @@ VERIFY_SIZE_LIMIT = 23
 # larger n_max: at 23 verify all took 28-48 s at n_max 5-8 and 60-68 s at
 # 9-10; at 22 14-38 s for n_max 4-10.
 VERIFY_BAREISS_SIZE_LIMIT = 22
-# The size budgets below stay inside the joint limits on n and m that follow:
-# entries whose denominators are not nested, such as the windows
-# (q; q)_j / (q^(k+1); q)_j of c:q^(j+1),q,q, swell in elimination far past
-# their own size.  At (n, m) = (22, 35), whose matrices charge 0.03-2.3 Mbit
-# for j = 1-5, det took 55 s at j = 5 and det --cross-check 61 s at j = 2.
 # det's time follows 2 n + m too, as its matrix reads c(m .. 2n - 2 + m): on
 # c:q^2,q,q^2 at 46 it took 23-35 s for n 16-22, at 47 58 s for n = 22.
 # closed-form --cross-check takes the same limit: its oracle is such a det.
 DET_SIZE_LIMIT = 46
 # With --cross-check, closed-form adds that det to its own time.  At 46 CBqm took
 # 53 s at n = 22 (Andrewsm 48, QHilbert 27); at 45 the three took at most 43 s.
-# QHilbert at (22, 6), whose matrix charges 0.03 Mbit, took 52 s.
 CROSS_CHECK_SIZE_LIMIT = 45
 # With --engine bareiss, det and closed-form --cross-check follow 3 n + m, as
 # Bareiss grows faster in n than in m: on c:q^2,q,q^2 at 50 det took 28-43 s
 # for n 9-16, and with --cross-check det, CBqm and Andrewsm took 37-48 s at
 # n 10-16.  51, which admits (17, 0), is untimed: det alone took 35 s at (16, 0).
-# On the reciprocal q-integers 1/[k + 1] (c:q^2,q,q), far inside the size
-# budgets, det took 28 s at (12, 35), 103 s at (14, 35) and at most 11 s at 50.
 BAREISS_SIZE_LIMIT = 50
 # det --cross-check adds the Jacobi route (jacobi_from_moments, det_from_jacobi)
 # to the elimination, 103 s at (22, 2): at 44 the pair took 49-62 s for n 19-22,
@@ -72,19 +62,18 @@ DET_CROSS_CHECK_SIZE_LIMIT = 43
 # At 28 QHilbert took 34-43 s at n = 22; at 29 it took 37-53 s for n 20-22.
 CLOSED_FORM_SIZE_LIMIT = 28
 
-# Every route that eliminates a moment matrix (det with either engine, its
-# lemma route, jacobi, triangle --seq and the closed-form oracle) is charged
-# the size of the matrix in coefficient bits: the sum over its n^2 positions
-# of len x bit length of the numerator and denominator vectors of
-# c(i + j + m).  Each elimination a command runs pays against the budget of
-# its loop, _eliminate (division, ldlt) the bits and _bareiss the bits x n,
-# and the shares add up to at most one.  The time grows about as the square
-# of the charge, and faster on larger entries, so the high-degree families
-# set both.  det on c:q^700,q,q^700 took 46 and 50 s at n = 5 (15.06 Mbit);
-# det --engine bareiss on c:q^1000,q,q^1000 took 30-40 s at (n, m) = (2, 5)
-# and (3, 2) (15.8 and 15.9 Mbit x n) and 62 s at (4, 0) (22.6 Mbit x n).
-FIELD_BUDGET = 14_000_000
-BAREISS_BUDGET = 15_000_000
+# The joint limits above see only n and m, not how large the entries are:
+# with --seq c:q^1000,q,q^1000, det at n = 5 and jacobi at depth 6 ran for
+# minutes.  So every moment matrix a command eliminates (det, its lemma route
+# and cross-check, jacobi, triangle --seq, the closed-form oracle) must also
+# fit a budget on its size in coefficient bits: the sum over its n^2
+# positions of len x bit length of the numerator and denominator vectors of
+# c(i + j + m), plus once each term the spec builds on the way.  The budget
+# admits everything the joint limits admit on c:q^2,q,q^2, whose largest
+# matrix, det at (n, m) = (22, 2), holds 18.8 Mbit (33.7 s), and refuses
+# det --n 5 on c:q^1000,q,q^1000 (22.1 Mbit, over 90 s).  It does not see how
+# far an elimination swells, which is why the joint limits stay.
+BIT_BUDGET = 20_000_000
 
 
 def _elem_json(x: FieldElem) -> dict:
@@ -129,49 +118,30 @@ def _emit_value(command: str, params: dict, value: FieldElem, cross, fmt: str) -
 
 def _size(x: FieldElem) -> int:
     """len x bit length of the numerator and denominator vectors of x."""
-    return len(x.n) * _bits(x.n) + len(x.d) * _bits(x.d) if x.n else 0
+    return sum(len(v) * max(map(int.bit_length, v)) for v in (x.n, x.d)) if x.n else 0
 
 
-def _admit(seq, n: int, m: int = 0, fields: int = 1, bareiss: int = 0) -> None:
+def _admit(seq, n: int, m: int = 0) -> None:
     """Build the terms of the order-n moment matrix at shift m in index
-    order and charge them to the command's eliminations of it: ``fields``
-    runs of _eliminate and ``bareiss`` runs of _bareiss.  A term of the
-    matrix is charged once per position, every other term the spec builds
-    (below m, or of the inner sequence of a shift: or scale: spec) once.
-    Raises ValueError at the first term past the budget, before any
-    elimination.  ``seq`` is a MomentSeq or a function of the index (a
-    registry matrix), of which only c(m .. 2n - 2 + m) is built."""
-    if m < 0:
-        raise ValueError("--m must be nonnegative")
-    # the charge per bit of the matrix, in units of 1 / (FIELD_BUDGET * BAREISS_BUDGET)
-    rate = fields * BAREISS_BUDGET + bareiss * n * FIELD_BUDGET
-    spent = 0
-
-    def build(s, count, weight):
-        nonlocal spent
-        if count > 2 * n - 1 + SIZE_LIMITS["m"]:
+    order and raise ValueError at the first that takes the matrix past
+    BIT_BUDGET, before any elimination.  ``seq`` is a MomentSeq, whose
+    terms below m and those of its inner sequences count once, or a function
+    of the index (a registry matrix), of which only c(m .. 2n - 2 + m) is
+    built."""
+    end = 2 * n - 1 + m
+    if isinstance(seq, MomentSeq):
+        if m + seq.shifts > SIZE_LIMITS["m"]:
             raise ValueError(f"--m and the shifts of the spec together exceed the limit "
                              f"{SIZE_LIMITS['m']}")
-        if isinstance(s, ShiftedSeq):
-            shift = s.shift
-            build(s.inner, count + shift, lambda k: weight(k - shift) if k >= shift else 1)
-            return
-        if isinstance(s, ScaledSeq):
-            build(s.inner, count, lambda k: 1)
-        term = s.term if isinstance(s, MomentSeq) else s
-        for k in range(0 if isinstance(s, MomentSeq) else m, count):
-            spent += weight(k) * _size(term(k))
-            if spent * rate > FIELD_BUDGET * BAREISS_BUDGET:
-                routes = " and ".join(part for part in (
-                    fields and f"{fields} field elimination{'s' if fields > 1 else ''} "
-                               f"at {FIELD_BUDGET / 1e6:g} Mbit",
-                    bareiss and f"a Bareiss elimination at {BAREISS_BUDGET / 1e6:g} Mbit / n",
-                ) if part)
-                raise ValueError(f"the order-{n} moment matrix passes "
-                                 f"{FIELD_BUDGET * BAREISS_BUDGET / rate / 1e6:.3g} Mbit of "
-                                 f"coefficients, the size budget of {routes}")
-
-    build(seq, 2 * n - 1 + m, lambda k: min(k - m + 1, 2 * n - 1 + m - k) if k >= m else 1)
+        terms = seq.build(end)
+    else:
+        terms = ((k, seq(k)) for k in range(m, end))
+    spent = 0
+    for k, term in terms:
+        spent += (1 if k is None or k < m else min(k - m + 1, end - k)) * _size(term)
+        if spent > BIT_BUDGET:
+            raise ValueError(f"the order-{n} moment matrix at --m {m} passes the size budget "
+                             f"of {BIT_BUDGET / 1e6:g} Mbit of coefficients")
 
 
 def _parse_expr_list(text: str):
@@ -249,15 +219,12 @@ def cmd_det(args) -> int:
         raise ValueError("--n must be at least 1")
     params = {"seq": args.seq, "n": args.n, "m": args.m, "via": args.via,
               "engine": args.engine}
-    oracle = args.via == "oracle" or args.cross_check
-    lemma = args.via == "lemma" or args.cross_check
-    bareiss = int(oracle and args.engine == "bareiss")
-    _admit(seq, args.n, args.m, fields=oracle + lemma - bareiss, bareiss=bareiss)
+    _admit(seq, args.n, args.m)
     oracle_value = None
     lemma_value = None
-    if oracle:
+    if args.via == "oracle" or args.cross_check:
         oracle_value = det_exact(hankel_matrix(seq, args.n, args.m), args.engine)
-    if lemma:
+    if args.via == "lemma" or args.cross_check:
         lemma_value = _det_by_jacobi(seq, args.n, args.m)
     value = lemma_value if args.via == "lemma" else oracle_value
     cross = None
@@ -275,8 +242,7 @@ def cmd_closed_form(args) -> int:
         params["x"] = str(x)
     if args.cross_check:
         terms = oracle_terms(args.formula, args.n, args.m, x)
-        bareiss = int(args.engine == "bareiss")
-        _admit(terms, args.n, args.m, fields=1 - bareiss, bareiss=bareiss)
+        _admit(terms, args.n, args.m)
     value = closed_form(args.formula, args.n, args.m, x)
     cross = None
     if args.cross_check:

@@ -14,7 +14,12 @@ from .field import F_ONE, FieldElem, as_field, parse_field_expr, q
 
 
 class MomentSeq:
-    """Base class; subclasses implement _compute(n) for n == len(cache)."""
+    """Base class; subclasses implement _compute(n) for n == len(cache).
+
+    ``shifts`` is the sum of the index shifts of the shift: specs in this one.
+    """
+
+    shifts = 0
 
     def __init__(self):
         self._cache: list[FieldElem] = []
@@ -28,6 +33,14 @@ class MomentSeq:
 
     def terms_upto(self, count: int) -> list[FieldElem]:
         return [self.term(i) for i in range(count)]
+
+    def build(self, count: int):
+        """Build c(0), ..., c(count - 1), yielding every term computed on the
+        way in the order it is computed: (k, c(k)) for a term of this
+        sequence, (None, t) for one of an inner sequence that is not also a
+        term of this one."""
+        for k in range(count):
+            yield k, self.term(k)
 
     def _compute(self, n: int) -> FieldElem:
         raise NotImplementedError
@@ -128,9 +141,14 @@ class ShiftedSeq(MomentSeq):
             raise ValueError("shift must be nonnegative")
         self.inner = inner
         self.shift = shift
+        self.shifts = inner.shifts + shift
 
     def _compute(self, n: int) -> FieldElem:
         return self.inner.term(n + self.shift)
+
+    def build(self, count: int):
+        for k, t in self.inner.build(count + self.shift):
+            yield (None if k is None or k < self.shift else k - self.shift), t
 
     def spec_string(self) -> str:
         return f"shift:{self.shift}:{self.inner.spec_string()}"
@@ -143,9 +161,16 @@ class ScaledSeq(MomentSeq):
         super().__init__()
         self.inner = inner
         self.x = as_field(x)
+        self.shifts = inner.shifts
 
     def _compute(self, n: int) -> FieldElem:
         return self.x ** n * self.inner.term(n)
+
+    def build(self, count: int):
+        for k, t in self.inner.build(count):
+            yield None, t
+            if k is not None:
+                yield k, self.term(k)
 
     def spec_string(self) -> str:
         return f"scale:{self.x}:{self.inner.spec_string()}"

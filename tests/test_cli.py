@@ -12,10 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hankelkit import cli
-from hankelkit.cli import (BAREISS_BUDGET, BAREISS_SIZE_LIMIT, CLOSED_FORM_SIZE_LIMIT, CROSS_CHECK_SIZE_LIMIT,
-                           DET_CROSS_CHECK_SIZE_LIMIT, DET_SIZE_LIMIT, FIELD_BUDGET, SIZE_LIMITS,
-                           VERIFY_BAREISS_SIZE_LIMIT, VERIFY_SIZE_LIMIT, _admit, main)
-from hankelkit.closed_forms import oracle_terms
+from hankelkit.cli import (BAREISS_SIZE_LIMIT, BIT_BUDGET, CLOSED_FORM_SIZE_LIMIT,
+                           CROSS_CHECK_SIZE_LIMIT, DET_CROSS_CHECK_SIZE_LIMIT, DET_SIZE_LIMIT,
+                           SIZE_LIMITS, VERIFY_BAREISS_SIZE_LIMIT, VERIFY_SIZE_LIMIT, _admit, main)
 from hankelkit.field import parse_field_expr, q
 from hankelkit.sequences import parse_sequence_spec
 
@@ -463,54 +462,69 @@ class TestSizeLimits:
         ["jacobi", "--seq", "c:q^1000,q,q^1000", "--depth", "6"],
     ])
     def test_high_degree_commands_exit_2_at_once(self, capsys, argv):
-        # each passes every limit on n and m, and ran for minutes before the size budget
+        # each passes every limit on n and m, and ran for minutes before the
+        # size budget; det passes the budget only at c(8), the last term of its
+        # matrix, after about 0.9 s of building terms
         start = time.perf_counter()
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
-        assert (f"passes {FIELD_BUDGET / 1e6:g} Mbit of coefficients, the size budget of "
-                f"1 field elimination at {FIELD_BUDGET / 1e6:g} Mbit") in err
-        assert time.perf_counter() - start < 1.0
+        assert f"passes the size budget of {BIT_BUDGET / 1e6:g} Mbit of coefficients" in err
+        assert time.perf_counter() - start < 2.0
 
-    @pytest.mark.parametrize("argv, fields, bareiss, inside, outside", [
-        # division: 13.2 and 14.8 Mbit
-        (["det"], 1, 0, (21, 1), (21, 2)),
-        # the lemma route runs ldlt, another _eliminate
-        (["det", "--via", "lemma"], 1, 0, (21, 1), (21, 2)),
-        # division and the lemma route: 6.9 and 7.9 Mbit, twice
-        (["det", "--cross-check"], 2, 0, (19, 0), (19, 1)),
-        # Bareiss: 1.10 and 1.32 Mbit, 13 times
-        (["det", "--engine", "bareiss"], 0, 1, (13, 1), (13, 2)),
-        # Bareiss and the lemma route: 1.07 and 1.28 Mbit, 12 times and once
-        (["det", "--engine", "bareiss", "--cross-check"], 1, 1, (12, 3), (12, 4)),
+    @pytest.mark.parametrize("argv", [
+        ["det", "--n", "5"],
+        ["det", "--n", "5", "--via", "lemma"],
+        ["det", "--n", "5", "--cross-check"],
+        ["det", "--n", "5", "--engine", "bareiss"],
+        ["jacobi", "--depth", "5"],
+        ["triangle", "--rows", "5"],
     ])
-    def test_budget_edges(self, capsys, argv, fields, bareiss, inside, outside):
-        # each pair passes the joint limits; the point inside is only admitted
-        # here, since running it takes 10-30 s
-        seq = parse_sequence_spec("c:q^2,q,q^2")
-        _admit(seq, *inside, fields=fields, bareiss=bareiss)
+    def test_budget_edge_on_every_route(self, capsys, argv):
+        # the order-5 matrix holds 20.7 Mbit on c:q^900,q,q^900
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv, "--seq", "c:q^900,q,q^900")
+        assert code == 2 and out == "" and "size budget" in err
+        assert time.perf_counter() - start < 2.0
+
+    def test_budget_edge_in_the_degree(self):
+        # the order-5 matrix holds 18.5 Mbit on c:q^850,q,q^850, inside the
+        # budget, and 20.7 Mbit on c:q^900,q,q^900, outside it; the point
+        # inside is only admitted here, since running it takes about a minute
+        _admit(parse_sequence_spec("c:q^850,q,q^850"), 5)
         with pytest.raises(ValueError, match="size budget"):
-            _admit(seq, *outside, fields=fields, bareiss=bareiss)
-        n, m = outside
-        start = time.perf_counter()
-        code, out, err = run_cli(capsys, *argv, "--seq", "c:q^2,q,q^2", "--n", str(n),
-                                 "--m", str(m))
-        assert code == 2 and out == "" and "size budget" in err
-        assert time.perf_counter() - start < 1.0
+            _admit(parse_sequence_spec("c:q^900,q,q^900"), 5)
 
-    @pytest.mark.parametrize("engine, inside, outside", [
-        ("division", (21, 1), (21, 2)),
-        ("bareiss", (13, 1), (13, 2)),
-    ])
-    def test_cross_check_oracle_takes_the_budget(self, capsys, engine, inside, outside):
-        # CBqm's oracle is the matrix of c:q^2,q,q^2, charged as det charges it
-        bareiss = int(engine == "bareiss")
-        _admit(oracle_terms("CBqm", *inside), *inside, fields=1 - bareiss, bareiss=bareiss)
-        n, m = outside
-        start = time.perf_counter()
-        code, out, err = run_cli(capsys, "closed-form", "CBqm", "--n", str(n), "--m", str(m),
-                                 "--cross-check", "--engine", engine)
-        assert code == 2 and out == "" and "size budget" in err
-        assert time.perf_counter() - start < 1.0
+    def test_budget_edge_in_n_and_m(self):
+        # c:q^30,q,q^30 holds 19.8 Mbit at (n, m) = (10, 0) and 18.4 at (2, 22)
+        seq = parse_sequence_spec("c:q^30,q,q^30")
+        _admit(seq, 10, 0)
+        _admit(seq, 2, 22)
+        for n, m in ((10, 1), (2, 23)):
+            with pytest.raises(ValueError, match="size budget"):
+                _admit(seq, n, m)
+
+    def test_budget_admits_the_joint_limits_on_the_benchmark_family(self):
+        # the budget bounds only what the limits on n and m miss: on
+        # c:q^2,q,q^2 the largest matrices they admit lie on det's edge
+        # 2 n + m = 46, up to 18.8 Mbit at (22, 2), and jacobi --depth 22
+        seq = parse_sequence_spec("c:q^2,q,q^2")
+        for n in range(6, SIZE_LIMITS["n"] + 1):
+            _admit(seq, n, DET_SIZE_LIMIT - 2 * n)
+        _admit(seq, SIZE_LIMITS["depth"])
+
+    def test_cross_check_oracle_takes_the_budget(self, capsys):
+        # with the budget cut to 0.3 Mbit, CBqm's oracle fits at (10, 1) (0.28 Mbit)
+        # and not at (11, 1) (0.46 Mbit); the formula alone builds no matrix
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "BIT_BUDGET", 300_000)
+            code, out, _ = run_cli(capsys, "closed-form", "CBqm", "--n", "10", "--m", "1",
+                                   "--cross-check")
+            assert code == 0 and "matches: yes" in out
+            code, out, err = run_cli(capsys, "closed-form", "CBqm", "--n", "11", "--m", "1",
+                                     "--cross-check")
+            assert code == 2 and out == "" and "size budget" in err
+            code, out, _ = run_cli(capsys, "closed-form", "CBqm", "--n", "11", "--m", "1")
+            assert code == 0 and out
 
     def test_terms_below_the_matrix_are_charged(self, capsys):
         # c(35) alone would take minutes to build; the terms below it pass the
@@ -547,15 +561,12 @@ class TestSizeLimits:
         assert DET_SIZE_LIMIT >= 2 * 10 + 1 and DET_CROSS_CHECK_SIZE_LIMIT >= 2 * 10 + 1
         assert BAREISS_SIZE_LIMIT >= 3 * 10 + 1
         # and the size budget admits them: det-kernels and roundtrip-verify on
-        # either spec of their pool, and CI's n = 13 Bareiss determinant and
-        # n = 10 lemma cross-check with Bareiss
+        # either spec of their pool, and CI's n = 13 determinant
         for spec in ("c:q^2,q,q^2", "c:q^2,-q,q^2"):
             _admit(parse_sequence_spec(spec), 10, 1)
-            _admit(parse_sequence_spec(spec), 10, 1, fields=0, bareiss=1)
             _admit(parse_sequence_spec(spec), 10)
             _admit(parse_sequence_spec(spec), 18)
-        _admit(parse_sequence_spec("c:q^2,q,q^2"), 13, 1, fields=0, bareiss=1)
-        _admit(parse_sequence_spec("c:q^2,q,q^2"), 10, 1, fields=1, bareiss=1)
+        _admit(parse_sequence_spec("c:q^2,q,q^2"), 13, 1)
 
 
 _EXPRS = ("0", "1", "-1", "2", "1/2", "q", "-q", "q^2", "2*q", "q/(1+q)", "q^40", "q^1000")
@@ -600,12 +611,13 @@ def spec_commands(draw):
 @given(spec_commands())
 def test_drawn_commands_end_cleanly(argv):
     """Every drawn spec command ends with exit 0, 2 or 3 and no traceback,
-    in under 5 s.  The budgets are cut 20-fold, so that every admitted
-    command is quick at these orders; at full size the limits bound the
-    time at 50 s (README "Size limits")."""
+    in under 5 s.  The size budget is cut 200-fold, to 0.1 Mbit, so that
+    every admitted command is quick at these orders: the charge does not
+    price Bareiss on sparse high-degree entries, and at 0.45 Mbit
+    det --engine bareiss --cross-check on c:-1,0,q^1000 at (n, m) = (4, 2)
+    took 4-7 s (README "Size limits")."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli, "FIELD_BUDGET", FIELD_BUDGET // 20)
-        patch.setattr(cli, "BAREISS_BUDGET", BAREISS_BUDGET // 20)
+        patch.setattr(cli, "BIT_BUDGET", BIT_BUDGET // 200)
         start = time.perf_counter()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             try:
