@@ -128,6 +128,8 @@ runs the median repetition went from 2.16 to 1.73 s, all of it in the
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from fractions import Fraction
 
 from .errors import DivisionByZero, ParseError, PoleAtPoint
@@ -139,6 +141,7 @@ from .errors import DivisionByZero, ParseError, PoleAtPoint
 _MUL_PACK_MIN = 16
 _DIV_PACK_MIN = 32
 _DEC_LEAF = 32
+_WORDS_MIN = 48
 
 try:
     from _decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal,
@@ -173,18 +176,62 @@ def _bits(coeffs):
     return max(map(int.bit_length, coeffs))
 
 
-def _pack(coeffs, w, lo=0, hi=None):
+# slots of at most 16 bytes are converted as machine words (module
+# docstring), whose byte order is the host's
+_WORDS = sys.byteorder == "little"
+# the sign byte of a two's-complement slot whose top byte is b
+_SIGN = bytes(255 if b >= 128 else 0 for b in range(256))
+
+
+def _widen(data, src, dst, n):
+    """The n little-endian two's-complement slots of src bytes in data,
+    sign-extended to slots of dst >= src bytes."""
+    if src == dst:
+        return data
+    out = bytearray(dst * n)
+    for j in range(src):
+        out[j::dst] = data[j::src]
+    sign = data[src - 1::src].translate(_SIGN)
+    for j in range(src, dst):
+        out[j::dst] = sign
+    return out
+
+
+def _pack(coeffs, w, lo=0):
     """sum(coeffs[lo + i] * 2^(w i)); coefficients may be signed and wider
     than w bits (their excess carries into the next slots)."""
-    if hi is None:
-        hi = len(coeffs)
+    n = len(coeffs) - lo
+    if _WORDS and n >= _WORDS_MIN and not w & 7:
+        try:
+            words = array("q", coeffs[lo:] if lo else coeffs).tobytes()
+        except OverflowError:
+            words = b""
+        nbytes = w >> 3
+        # the low bytes of each word that go into its slot
+        size = min(nbytes, 8)
+        sign = words[size - 1::8].translate(_SIGN)
+        # every coefficient fits its slot: the bytes left out repeat its sign
+        if words and all(words[j::8] == sign for j in range(size, 8)):
+            # each slot holds its coefficient in two's complement in its low
+            # size bytes; flipping their top bit adds the bias that makes the
+            # coefficient nonnegative, and subtracting the bias leaves the value
+            bias = int.from_bytes((bytes(size - 1) + b"\x80" + bytes(nbytes - size)) * n,
+                                  "little")
+            data = bytearray(nbytes * n)
+            for j in range(size):
+                data[j::nbytes] = words[j::8]
+            return (int.from_bytes(data, "little") ^ bias) - bias
+    return _pack_horner(coeffs, w, lo, len(coeffs))
+
+
+def _pack_horner(coeffs, w, lo, hi):
     if hi - lo <= 16:
         acc = 0
         for i in range(hi - 1, lo - 1, -1):
             acc = (acc << w) + coeffs[i]
         return acc
     mid = (lo + hi) // 2
-    return (_pack(coeffs, w, mid, hi) << (w * (mid - lo))) + _pack(coeffs, w, lo, mid)
+    return (_pack_horner(coeffs, w, mid, hi) << (w * (mid - lo))) + _pack_horner(coeffs, w, lo, mid)
 
 
 def _unpack(value, nbytes, n):
@@ -192,8 +239,18 @@ def _unpack(value, nbytes, n):
     each assumed to lie in [-2^(8 nbytes - 1), 2^(8 nbytes - 1))."""
     size = nbytes * n
     # a bias of 2^(8 nbytes - 1) in every slot makes the digits nonnegative
-    value += int.from_bytes((bytes(nbytes - 1) + b"\x80") * n, "little")
-    data = (value & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
+    bias = int.from_bytes((bytes(nbytes - 1) + b"\x80") * n, "little")
+    value = (value + bias) & ((1 << (8 * size)) - 1)
+    if _WORDS and nbytes <= 16 and n >= _WORDS_MIN:
+        # XOR-ing the bias back leaves each digit in two's complement
+        data = (value ^ bias).to_bytes(size, "little")
+        if nbytes <= 8:
+            return memoryview(_widen(data, nbytes, 8, n)).cast("q").tolist()
+        # a 16-byte slot is read as an unsigned low word and a signed high word
+        view = memoryview(_widen(data, nbytes, 16, n))
+        return [hi << 64 | lo for lo, hi in zip(view.cast("Q")[0::2].tolist(),
+                                                 view.cast("q")[1::2].tolist())]
+    data = value.to_bytes(size, "little")
     del value
     half = 1 << (8 * nbytes - 1)
     from_bytes = int.from_bytes
@@ -632,6 +689,64 @@ class Polynomial:
 
 P_ZERO = Polynomial._make(Fraction(0), ())
 P_ONE = Polynomial._make(Fraction(1), (1,))
+
+
+def _sum_of_products(terms, packed):
+    """sum(s a b for s, a, b in terms), for Polynomials a and b and signs
+    s = 1 or -1, by KS2 at one slot width: the contents become integer
+    multipliers over one denominator, the multiplied packed products are
+    summed as ints, and the sum is read back once and made primitive.
+
+    ``packed`` is a table owned by the caller, id(coeffs) -> ``_operand``
+    entry, so an operand that recurs is packed once per slot width; it holds
+    each vector, so that no id is reused while the table lives."""
+    terms = [(s, a, b) for s, a, b in terms if a.coeffs and b.coeffs]
+    if not terms:
+        return P_ZERO
+    den = math.lcm(*(a.content.denominator * b.content.denominator for _, a, b in terms))
+    ops, bound, length = [], 0, 0
+    for s, a, b in terms:
+        x, y = a.content, b.content
+        m = s * x.numerator * y.numerator * (den // (x.denominator * y.denominator))
+        ea, eb = _operand(packed, a.coeffs), _operand(packed, b.coeffs)
+        # every coefficient of m a b is below 2^size in absolute value
+        size = m.bit_length() + ea[1] + eb[1] + min(len(a.coeffs), len(b.coeffs)).bit_length()
+        bound = max(bound, size)
+        length = max(length, len(a.coeffs) + len(b.coeffs) - 1)
+        ops.append((m, ea[2], eb[2]))
+    # a slot of w bits holds the sum of the terms with its sign
+    nbytes = (bound + len(ops).bit_length() + 8) // 8
+    w = 8 * nbytes
+    plus = minus = 0
+    for m, a_at, b_at in ops:
+        a_plus, a_minus = a_at(w)
+        b_plus, b_minus = b_at(w)
+        plus += m * (a_plus * b_plus)
+        minus += m * (a_minus * b_minus)
+    out = [0] * length
+    odd = (plus - minus) >> (w // 2 + 1)
+    plus = (plus + minus) >> 1
+    out[0::2] = _unpack(plus, nbytes, (length + 1) // 2)
+    out[1::2] = _unpack(odd, nbytes, length // 2)
+    prim, cont = _primitive(out)
+    return Polynomial._make(Fraction(cont, den), prim)
+
+
+def _operand(packed, coeffs):
+    """The ``_sum_of_products`` table entry of coeffs: (coeffs, bits, the
+    _pack_pm pair at a slot width w), made on first use."""
+    entry = packed.get(id(coeffs))
+    if entry is None:
+        by_width = {}
+
+        def at(w):
+            values = by_width.get(w)
+            if values is None:
+                values = by_width[w] = _pack_pm(coeffs, w)
+            return values
+
+        entry = packed[id(coeffs)] = (coeffs, _bits(coeffs), at)
+    return entry
 
 
 def _as_poly(v) -> Polynomial:

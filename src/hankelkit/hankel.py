@@ -57,7 +57,7 @@ from fractions import Fraction
 
 from .errors import NotNormalized, SingularLeadingMinor
 from .field import (F_ONE, F_ZERO, FieldElem, P_ONE, Polynomial, _gcd_cofactors, _mul_int,
-                    _try_div_exact, as_field)
+                    _sum_of_products, _try_div_exact, as_field)
 from .sequences import MomentSeq
 from .triangle import JacobiParams
 
@@ -197,6 +197,13 @@ def _bareiss(M: SquareMatrix):
 
     prev, k = P_ONE, 0
     while k < n:
+        # the operands of this pass, packed once per slot width
+        packed = {}
+
+        def update(a, b, c, d):
+            """(a b - c d) // prev."""
+            return _sum_of_products(((1, a, b), (-1, c, d)), packed) // prev
+
         swapped = a[k][k].is_zero
         if swapped:
             if symmetric:
@@ -216,24 +223,25 @@ def _bareiss(M: SquareMatrix):
         if symmetric and k + 2 < n:
             # steps k and k + 1 in one pass (module docstring)
             nxt, a10 = a[k + 1], a[k + 1][k]
-            c0 = (pivot * nxt[k + 1] - a10 * top[k + 1]) // prev
+            c0 = update(pivot, nxt[k + 1], a10, top[k + 1])
             if not c0.is_zero:
                 yield False, c0, dens[k + 1]
                 mirror(k + 1)
                 a01, a11, s = top[k + 1], nxt[k + 1], k + 2
-                x = [(pivot * nxt[j] - a10 * top[j]) // prev for j in range(s, n)]
-                y = [(a01 * nxt[j] - top[j] * a11) // prev for j in range(s, n)]
+                x = [update(pivot, nxt[j], a10, top[j]) for j in range(s, n)]
+                y = [update(a01, nxt[j], top[j], a11) for j in range(s, n)]
                 for i in range(s, n):
                     row, ai0, ai1 = a[i], a[i][k], a[i][k + 1]
                     for j in range(i, n):
-                        row[j] = (c0 * row[j] - ai1 * x[j - s] + ai0 * y[j - s]) // prev
+                        row[j] = _sum_of_products(((1, c0, row[j]), (-1, ai1, x[j - s]),
+                                                   (1, ai0, y[j - s])), packed) // prev
                 prev, k = c0, s
                 continue
             # a zero minor: step k alone, then step k + 1 swaps
         for i in range(k + 1, n):
             row, aik = a[i], a[i][k]
             for j in range(i if symmetric else k + 1, n):
-                row[j] = (pivot * row[j] - aik * top[j]) // prev
+                row[j] = update(pivot, row[j], aik, top[j])
         prev, k = pivot, k + 1
 
 

@@ -302,6 +302,137 @@ def test_try_div_exact_quotient_wider_than_dividend():
 
 
 # ---------------------------------------------------------------------------
+# word-sized pack and unpack, and packed sums of products
+# ---------------------------------------------------------------------------
+
+# lengths on both sides of the word path's cut-off
+_WORD_LENGTHS = st.sampled_from((0, 1, 2, 3, field._WORDS_MIN - 2, field._WORDS_MIN - 1,
+                                 field._WORDS_MIN, field._WORDS_MIN + 1, 2 * field._WORDS_MIN + 3))
+
+
+@st.composite
+def slot_digits(draw):
+    """(nbytes, digits): signed base-2^(8 nbytes) digits, some at the slot's edges."""
+    nbytes = draw(st.integers(1, 17))
+    half = 1 << (8 * nbytes - 1)
+    digit = st.one_of(st.sampled_from((-half, half - 1, -1, 0)), st.integers(-half, half - 1))
+    n = draw(_WORD_LENGTHS)
+    return nbytes, draw(st.lists(digit, min_size=n, max_size=n))
+
+
+def packed_value(coeffs, w):
+    return sum(c << (w * i) for i, c in enumerate(coeffs))
+
+
+def _without_words(fn, *args):
+    """fn(*args) with the word path off, as on a big-endian host."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(field, "_WORDS", False)
+        return fn(*args)
+
+
+@settings(max_examples=300, deadline=None)
+@given(slot_digits())
+def test_pack_unpack_round_trip(case):
+    nbytes, digits = case
+    w = 8 * nbytes
+    value = _pack(digits, w)
+    assert value == packed_value(digits, w) == _without_words(_pack, digits, w)
+    assert _unpack(value, nbytes, len(digits)) == digits
+    assert _without_words(_unpack, value, nbytes, len(digits)) == digits
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 17), _WORD_LENGTHS, st.integers(1, 80), st.integers(0, 3), st.data())
+def test_pack_carries_coefficients_wider_than_the_slot(nbytes, n, extra, lo, data):
+    # up to 80 bits more than the slot: some fit a machine word, some not
+    w = 8 * nbytes
+    span = 1 << (w + extra - 1)
+    coeffs = data.draw(st.lists(st.one_of(st.sampled_from((-span, span - 1)),
+                                          st.integers(-span, span - 1)),
+                                min_size=n + lo, max_size=n + lo))
+    expected = packed_value(coeffs[lo:], w)
+    assert _pack(coeffs, w, lo) == _without_words(_pack, coeffs, w, lo) == expected
+    # digits read modulo 2^(w n), as the gcd reads a packed integer gcd
+    digits = _unpack(expected, nbytes, n)
+    assert digits == _without_words(_unpack, expected, nbytes, n)
+    assert packed_value(digits, w) % (1 << (w * n)) == expected % (1 << (w * n))
+
+
+@pytest.mark.parametrize("nbytes", range(1, 18))
+def test_pack_at_the_slot_edges(nbytes):
+    # the last digits that fit a slot, and the first that carry out of it
+    w = 8 * nbytes
+    fits = (-(1 << (w - 1)), (1 << (w - 1)) - 1)
+    carries = (1 << (w - 1), -(1 << (w - 1)) - 1, 1 << w, -(1 << w) - 1, 1 << (w + 7))
+    n = field._WORDS_MIN
+    for edge in fits + carries:
+        for coeffs in ([edge] * n, [edge, 0, -1] * n, [1] * (n - 1) + [edge]):
+            assert _pack(coeffs, w) == packed_value(coeffs, w)
+    for edge in fits:
+        assert _unpack(_pack([edge] * n, w), nbytes, n) == [edge] * n
+
+
+def _poly(coeffs):
+    return Polynomial([Fraction(c) for c in coeffs])
+
+
+@st.composite
+def polynomials(draw):
+    """Polynomials of 0-70 coefficients with integer or rational content."""
+    bits = draw(st.integers(1, 90))
+    span = 1 << bits
+    length = draw(st.sampled_from((0, 1, 2, 5, 17, 40, 70)))
+    coeffs = draw(st.lists(st.integers(-span, span), min_size=length, max_size=length))
+    content = Fraction(draw(st.integers(-50, 50)) or 1, draw(st.sampled_from((1, 1, 3, 7, 12))))
+    return Polynomial([content * c for c in coeffs])
+
+
+def expression(terms):
+    total = Polynomial()
+    for s, a, b in terms:
+        total = total + a * b if s > 0 else total - a * b
+    return total
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from((1, -1)), polynomials(), polynomials()),
+                min_size=1, max_size=4), st.booleans())
+def test_sum_of_products_matches_polynomial_expression(terms, cancel):
+    if cancel:
+        # the last term undone by the same product in the other order
+        s, a, b = terms[-1]
+        terms = terms + [(-s, b, a)]
+    packed = {}
+    got = field._sum_of_products(terms, packed)
+    assert got == expression(terms)
+    assert (got.content, got.coeffs) == (expression(terms).content, expression(terms).coeffs)
+    # the table now holds every operand: a second call reads it back
+    assert field._sum_of_products(terms, packed) == got
+    if cancel and len(terms) == 2:
+        assert got.is_zero
+
+
+def test_sum_of_products_edge_cases():
+    a, b = _poly(range(1, 60)), _poly([3, -1, 4, -1, 5])
+    half = Polynomial([Fraction(1, 2), Fraction(-3, 4)])
+    zero = Polynomial()
+    packed = {}
+    assert field._sum_of_products([(1, zero, a), (-1, b, zero)], packed).is_zero
+    assert field._sum_of_products([(1, a, b), (-1, b, a)], packed).is_zero
+    assert field._sum_of_products([(1, a, half), (1, b, b), (-1, half, half)], packed) \
+        == a * half + b * b - half * half
+    # a slot width set by the widest term's coefficients, not its length
+    wide = _poly([1 << 400, -(1 << 399) + 1])
+    assert field._sum_of_products([(1, a, b), (-1, wide, wide)], packed) == a * b - wide * wide
+    # coefficients near the slot's bound: up to 63 * 31 * 7 < 2^14 in each
+    # product, and three times that, with its sign, needs 17 bits
+    x, y = _poly([31] * 62 + [30]), _poly([7] * 62 + [6])
+    for s in (1, -1):
+        assert field._sum_of_products([(s, x, y)] * 3, {}) == x * y * (3 * s)
+
+
+# ---------------------------------------------------------------------------
 # the long multiply through decimal (libmpdec)
 # ---------------------------------------------------------------------------
 
