@@ -80,15 +80,46 @@ length of 12-16 (16 at 600 bits), hence ``_MUL_PACK_MIN`` = 16.  The 2-adic
 division wins once divisor and quotient both have 24-32 coefficients of up
 to 30 bits; at 200 bits it needs 64, and between 32 and 64 it loses up to
 1.5x to the loop.  The q-moment determinants have small coefficients, hence
-``_DIV_PACK_MIN`` = 32.  ``_pack`` splits a vector in halves down to runs of
-16 coefficients, which it folds by Horner's rule: a fold of the whole vector
+``_DIV_PACK_MIN`` = 32.
+
+Packing and unpacking cost per coefficient, and at the sizes of the n = 10
+Bareiss determinant that cost exceeds the multiply: on a (107, 43-bit)
+product KS2 took 188 us, of which the two big-int multiplies were 36 us
+(best of 9, Python 3.11, one core).  So a vector of at least ``_WORDS_MIN`` coefficients is converted through
+machine words, on little-endian hosts, in a few calls into C.  ``_pack``
+reads it into one ``array("q")``, which refuses a coefficient wider than
+64 bits, copies the low bytes of each word into its slot by strided
+byte-slice copies, and turns the two's-complement slots into the value
+with one XOR and one subtraction of a bias.  A slot narrower than a word
+takes the word only when the bytes cut off repeat its sign, so a vector
+packed with carries, as the gcd and the 2-adic quotient pack theirs,
+stays on Horner's rule.  ``_unpack`` adds the bias and XORs it back, so
+that each slot holds its digit in two's complement, calls ``to_bytes``
+once, widens each slot to 8 or 16 bytes (the sign bytes come from a
+256-entry ``translate`` table) and reads every digit with one
+``memoryview`` cast; a 16-byte slot is read as an unsigned low word and a
+signed high word.  Wider slots keep one ``from_bytes`` per slot.  That
+product then took 137 us.  Per call (best of 9, Python 3.11, one core) the
+word path packs faster from about 96 coefficients (at 3 and 8 bytes a slot,
+9.4 against 7.0 and 20.5 against 11.7 us; at 48 coefficients 4.8 against
+5.2 and 5.8 against 8.2 us), and unpacks faster from 16-24 coefficients at
+slots of up to 8 bytes (at 48, 8.5 against 4.8 and 11.5 against 3.0 us)
+but only from about 96 at 12 bytes (26.6 against 26.4 us at 96, 49.4
+against 44.7 at 192), where each digit is two words joined in Python.
+Replaying the pack and unpack calls of one n = 10 Bareiss determinant, one
+division determinant, the kernel rows, the 18-row triangle and one ``verify
+all``, cut-offs of 32, 48 and 64 coefficients were within the noise of
+each other; the Bareiss calls took 78 ms in the median of 15 replays with
+the cut-off at 48 against 83 ms with no word path, and the others moved
+less than the noise.  ``_WORDS_MIN`` = 48 lies between the two crossovers.
+
+Elsewhere ``_pack`` splits a vector in halves down to runs of 16
+coefficients, which it folds by Horner's rule: a fold of the whole vector
 shifts an ever longer int and is quadratic, while runs of one coefficient
 pay a call per slot.  At 600 coefficients of 200 bits (w = 416, best of
-25) one pack took 261 us with runs of 16, against 505 us with runs of 1,
-522 us with runs of 64 and 6.2 ms with no split.  Runs of 16 were the
-fastest or within 12 % of it at 40, 100 and 600 coefficients; at 1300
-coefficients (w = 1216) runs of 4-24 differed by less than the noise
-between sweeps (Python 3.11, one core).
+25) one pack took 225 us with runs of 16, against 401 us with runs of 1,
+224 us with runs of 8, 255 us with runs of 32 and 401 us with runs of 64
+(Python 3.11, one core).
 
 Gcds are heuristic (GCDHEU: Char, Geddes and Gonnet, JSC 1989) and
 certified.  For primitive f = h u and g = h v with h their gcd, the integer
@@ -176,8 +207,8 @@ def _bits(coeffs):
     return max(map(int.bit_length, coeffs))
 
 
-# slots of at most 16 bytes are converted as machine words (module
-# docstring), whose byte order is the host's
+# long vectors are converted through machine words (module docstring), in
+# the host's byte order
 _WORDS = sys.byteorder == "little"
 # the sign byte of a two's-complement slot whose top byte is b
 _SIGN = bytes(255 if b >= 128 else 0 for b in range(256))
@@ -225,13 +256,16 @@ def _pack(coeffs, w, lo=0):
 
 
 def _pack_horner(coeffs, w, lo, hi):
+    """sum(coeffs[lo + i] * 2^(w i)) for i < hi - lo, by halves down to
+    runs of 16 coefficients folded by Horner's rule."""
     if hi - lo <= 16:
         acc = 0
         for i in range(hi - 1, lo - 1, -1):
             acc = (acc << w) + coeffs[i]
         return acc
     mid = (lo + hi) // 2
-    return (_pack_horner(coeffs, w, mid, hi) << (w * (mid - lo))) + _pack_horner(coeffs, w, lo, mid)
+    high = _pack_horner(coeffs, w, mid, hi)
+    return (high << (w * (mid - lo))) + _pack_horner(coeffs, w, lo, mid)
 
 
 def _unpack(value, nbytes, n):

@@ -34,10 +34,16 @@ every division is exact.  An entry costs 3 products and 1 exact division
 per two columns against 4 and 2 for two single steps: 115 exact divisions
 at n = 10, where one column per step takes 165 and the full square 285.  A
 zero c0 (step k then runs alone and step k + 1 swaps), the last odd column
-and every step after a swap go one column at a time.  On c:q^2,q,q^2 with
-m = 1 at n = 10, the best of 4 in-process runs took 0.76-0.81 s one column
-per step and 0.62-0.67 s two columns per pass (5 alternating processes,
-2 cores, Python 3.11).
+and every step after a swap go one column at a time.
+
+Every update, of either kind, is one signed sum of products
+(``field._sum_of_products``): its terms are multiplied by Kronecker
+substitution at one slot width, summed as packed ints and read back once,
+and an operand that recurs within a pass (c0, the pivot, a_ik, a_i(k+1),
+x_j and y_j) is packed once per slot width.  On c:q^2,q,q^2 with m = 1 at
+n = 10, the best of 4 in-process runs took 0.47-0.52 s one column per step
+and 0.39-0.45 s two columns per pass (3 alternating processes, 2 cores,
+Python 3.11).
 
 ``leading_minors`` reads every leading minor d(1), ..., d(n) off one
 elimination, the way the paper's Lemma reads every Hankel determinant off
