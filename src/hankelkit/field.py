@@ -62,6 +62,20 @@ coefficients differed by less than the noise between sweeps, 32 was within
 slower.  The traced peak of new memory at (1301, 600) is 1.54 MB against
 1.48 MB for KS2, and 0.22 against 0.23 MB at (601, 200).
 
+A signed sum of products, as every Bareiss update is, runs one KS2 for the
+whole sum (``_sum_of_products``): the factors' contents become integer
+multipliers over one denominator, each term's two half-length products,
+times its multiplier, are added into two ints, and the sum is read back
+once, at the slot width of its largest term plus bit_length(#terms) bits.
+Packing and reading back cost per coefficient, and at Bareiss's sizes
+they cost more than the multiplies: on a (107, 43-bit) product KS2 took
+188 us, of which the two big-int multiplies were 36 us (best of 9, Python
+3.11, one core).  So a sum of three products reads back one vector, not
+three, and a caller's table packs each operand that recurs once per slot
+width.  A sum with a term past ``_MUL_DEC_MIN`` adds the terms'
+``_mul_int`` products instead, so that term still multiplies through
+decimal.
+
 Long exact divisions are 2-adic (Jebelean, JSC 1993), not ``divmod`` on the
 packed ints: CPython's big-int division is quadratic, and at (degree 1300,
 600 bits) a packed ``divmod`` took over 6 s against 1.4-2.0 s for the
@@ -80,46 +94,39 @@ length of 12-16 (16 at 600 bits), hence ``_MUL_PACK_MIN`` = 16.  The 2-adic
 division wins once divisor and quotient both have 24-32 coefficients of up
 to 30 bits; at 200 bits it needs 64, and between 32 and 64 it loses up to
 1.5x to the loop.  The q-moment determinants have small coefficients, hence
-``_DIV_PACK_MIN`` = 32.
-
-Packing and unpacking cost per coefficient, and at the sizes of the n = 10
-Bareiss determinant that cost exceeds the multiply: on a (107, 43-bit)
-product KS2 took 188 us, of which the two big-int multiplies were 36 us
-(best of 9, Python 3.11, one core).  So a vector of at least ``_WORDS_MIN`` coefficients is converted through
-machine words, on little-endian hosts, in a few calls into C.  ``_pack``
-reads it into one ``array("q")``, which refuses a coefficient wider than
-64 bits, copies the low bytes of each word into its slot by strided
-byte-slice copies, and turns the two's-complement slots into the value
-with one XOR and one subtraction of a bias.  A slot narrower than a word
-takes the word only when the bytes cut off repeat its sign, so a vector
-packed with carries, as the gcd and the 2-adic quotient pack theirs,
-stays on Horner's rule.  ``_unpack`` adds the bias and XORs it back, so
-that each slot holds its digit in two's complement, calls ``to_bytes``
-once, widens each slot to 8 or 16 bytes (the sign bytes come from a
-256-entry ``translate`` table) and reads every digit with one
-``memoryview`` cast; a 16-byte slot is read as an unsigned low word and a
-signed high word.  Wider slots keep one ``from_bytes`` per slot.  That
-product then took 137 us.  Per call (best of 9, Python 3.11, one core) the
-word path packs faster from about 96 coefficients (at 3 and 8 bytes a slot,
-9.4 against 7.0 and 20.5 against 11.7 us; at 48 coefficients 4.8 against
-5.2 and 5.8 against 8.2 us), and unpacks faster from 16-24 coefficients at
-slots of up to 8 bytes (at 48, 8.5 against 4.8 and 11.5 against 3.0 us)
-but only from about 96 at 12 bytes (26.6 against 26.4 us at 96, 49.4
-against 44.7 at 192), where each digit is two words joined in Python.
-Replaying the pack and unpack calls of one n = 10 Bareiss determinant, one
-division determinant, the kernel rows, the 18-row triangle and one ``verify
-all``, cut-offs of 32, 48 and 64 coefficients were within the noise of
-each other; the Bareiss calls took 78 ms in the median of 15 replays with
-the cut-off at 48 against 83 ms with no word path, and the others moved
-less than the noise.  ``_WORDS_MIN`` = 48 lies between the two crossovers.
-
-Elsewhere ``_pack`` splits a vector in halves down to runs of 16
-coefficients, which it folds by Horner's rule: a fold of the whole vector
+``_DIV_PACK_MIN`` = 32.  ``_pack`` splits a vector in halves down to runs of
+16 coefficients, which it folds by Horner's rule: a fold of the whole vector
 shifts an ever longer int and is quadratic, while runs of one coefficient
 pay a call per slot.  At 600 coefficients of 200 bits (w = 416, best of
-25) one pack took 225 us with runs of 16, against 401 us with runs of 1,
-224 us with runs of 8, 255 us with runs of 32 and 401 us with runs of 64
-(Python 3.11, one core).
+25 in the quietest of 4 rounds) one pack took 222 us with runs of 16,
+against 431 us with runs of 1, 228 us with runs of 8, 280 us with runs of
+32, 446 us with runs of 64 and 4.7 ms with no split.  Runs of 16 were the
+fastest or within 12 % of it at 40, 100 and 600 coefficients; at 1300
+coefficients (w = 1216) runs of 4-24 differed by less than the noise
+between sweeps (Python 3.11, one core).
+
+Vectors of at least ``_WORDS_MIN`` coefficients are converted through
+machine words instead, on little-endian hosts, in a few calls into C.
+``_pack`` reads the vector into one ``array("q")``, which refuses a
+coefficient wider than 64 bits, copies the low bytes of each word into its
+slot by strided byte-slice copies, and turns the two's-complement slots
+into the value with one XOR and one subtraction of a bias.  A slot
+narrower than a word takes the word only when the bytes cut off repeat its
+sign, so a vector packed with carries, as the gcd and the 2-adic quotient
+pack theirs, stays on Horner's rule.  ``_unpack`` adds the bias and XORs
+it back, so that each slot holds its digit in two's complement, calls
+``to_bytes`` once, widens each slot to 8 or 16 bytes (the sign bytes come
+from a 256-entry ``translate`` table) and reads every digit with one
+``memoryview`` cast; a 16-byte slot is read as an unsigned low word and a
+signed high word.  Wider slots keep one ``from_bytes`` per slot.  The
+(107, 43-bit) product above then took 137 us.  Per call (best of 9) the
+word path unpacks faster from 16-24 coefficients at slots of up to 8
+bytes, but only from about 96 at 12 bytes, where each digit is two words
+joined in Python; in a replay of the benchmark's pack and unpack calls,
+cut-offs of 32, 48 and 64 coefficients were within the noise of each
+other.  Over ten alternating pairs of ``det-kernels`` runs (55 s each, 2
+cores, Python 3.11) the word path cut the median ``wall_s`` from 1.271 to
+1.227 s, lower in all ten pairs.
 
 Gcds are heuristic (GCDHEU: Char, Geddes and Gonnet, JSC 1989) and
 certified.  For primitive f = h u and g = h v with h their gcd, the integer
@@ -299,28 +306,39 @@ def _pack_pm(coeffs, w):
 
 
 def _mul_packed(a, b, bits):
-    """a * b from the product's values at 2^(w/2) and -2^(w/2) (Harvey's
-    KS2): two multiplies of ints half as long as the one product at 2^w;
-    bits is _bits(a) + _bits(b)."""
+    """a * b by KS2; bits is _bits(a) + _bits(b)."""
     # a slot of w bits holds every coefficient of the product with its sign
     nbytes = (bits + min(len(a), len(b)).bit_length() + 8) // 8
+    return tuple(_ks2(((1, a, b),), nbytes, len(a) + len(b) - 1, _pack_pm))
+
+
+def _ks2(terms, nbytes, length, pair):
+    """The length coefficients of sum(m a b for m, a, b in terms), for ints m
+    and integer vectors a and b, from the sum's values at 2^(w/2) and
+    -2^(w/2), w = 8 nbytes (Harvey's KS2): two multiplies per term of ints
+    half as long as the one product at 2^w.  Every coefficient of the sum
+    must fit a w-bit slot with its sign; pair(v, w) is _pack_pm(v, w)."""
     w = 8 * nbytes
-    a_plus, a_minus = _pack_pm(a, w)
-    b_plus, b_minus = _pack_pm(b, w)
-    # these ints are the peak memory of a long product: free each early
-    plus = a_plus * b_plus
-    del a_plus, b_plus
-    minus = a_minus * b_minus
-    del a_minus, b_minus
-    n = len(a) + len(b) - 1
-    out = [0] * n
+    plus = minus = 0
+    for m, a, b in terms:
+        a_plus, a_minus = pair(a, w)
+        b_plus, b_minus = pair(b, w)
+        # these ints are the peak memory of a long product: free each early
+        prod = a_plus * b_plus
+        del a_plus, b_plus
+        plus += prod if m == 1 else m * prod
+        prod = a_minus * b_minus
+        del a_minus, b_minus
+        minus += prod if m == 1 else m * prod
+        del prod
+    out = [0] * length
     odd = (plus - minus) >> (w // 2 + 1)
     plus = (plus + minus) >> 1
     del minus
-    out[0::2] = _unpack(plus, nbytes, (n + 1) // 2)
+    out[0::2] = _unpack(plus, nbytes, (length + 1) // 2)
     del plus
-    out[1::2] = _unpack(odd, nbytes, n // 2)
-    return tuple(out)
+    out[1::2] = _unpack(odd, nbytes, length // 2)
+    return out
 
 
 class _DecimalSlots:
@@ -402,7 +420,7 @@ def _mul_decimal(a, b, bits):
 
     a_plus, a_minus = plus_minus(a)
     b_plus, b_minus = plus_minus(b)
-    # as in _mul_packed, these are the peak memory: free each early
+    # as in _ks2, these are the peak memory: free each early
     plus = _EXACT.multiply(a_plus, b_plus)
     del a_plus, b_plus
     minus = _EXACT.multiply(a_minus, b_minus)
@@ -725,62 +743,55 @@ P_ZERO = Polynomial._make(Fraction(0), ())
 P_ONE = Polynomial._make(Fraction(1), (1,))
 
 
-def _sum_of_products(terms, packed):
+def _sum_of_products(terms, packed, once=None):
     """sum(s a b for s, a, b in terms), for Polynomials a and b and signs
-    s = 1 or -1, by KS2 at one slot width: the contents become integer
-    multipliers over one denominator, the multiplied packed products are
-    summed as ints, and the sum is read back once and made primitive.
+    s = 1 or -1: the contents become integer multipliers over one
+    denominator, and the sum is formed by one ``_ks2`` at the slot width of
+    its largest term, read back once and made primitive.  A sum with a
+    term that ``_mul_int`` multiplies through decimal adds the terms'
+    ``_mul_int`` products instead.
 
-    ``packed`` is a table owned by the caller, id(coeffs) -> ``_operand``
-    entry, so an operand that recurs is packed once per slot width; it holds
-    each vector, so that no id is reused while the table lives."""
+    ``packed`` is a table owned by the caller, (id(v), w) -> (v,
+    _pack_pm(v, w)), so that an operand that recurs is packed once per slot
+    width; each entry holds its vector, so that no id is reused while the
+    table lives.  The operand ``once``, used in this sum only, is packed
+    without the table."""
     terms = [(s, a, b) for s, a, b in terms if a.coeffs and b.coeffs]
     if not terms:
         return P_ZERO
     den = math.lcm(*(a.content.denominator * b.content.denominator for _, a, b in terms))
-    ops, bound, length = [], 0, 0
+    ops, bound, length, decimal = [], 0, 0, False
     for s, a, b in terms:
         x, y = a.content, b.content
         m = s * x.numerator * y.numerator * (den // (x.denominator * y.denominator))
-        ea, eb = _operand(packed, a.coeffs), _operand(packed, b.coeffs)
-        # every coefficient of m a b is below 2^size in absolute value
-        size = m.bit_length() + ea[1] + eb[1] + min(len(a.coeffs), len(b.coeffs)).bit_length()
-        bound = max(bound, size)
-        length = max(length, len(a.coeffs) + len(b.coeffs) - 1)
-        ops.append((m, ea[2], eb[2]))
-    # a slot of w bits holds the sum of the terms with its sign
-    nbytes = (bound + len(ops).bit_length() + 8) // 8
-    w = 8 * nbytes
-    plus = minus = 0
-    for m, a_at, b_at in ops:
-        a_plus, a_minus = a_at(w)
-        b_plus, b_minus = b_at(w)
-        plus += m * (a_plus * b_plus)
-        minus += m * (a_minus * b_minus)
-    out = [0] * length
-    odd = (plus - minus) >> (w // 2 + 1)
-    plus = (plus + minus) >> 1
-    out[0::2] = _unpack(plus, nbytes, (length + 1) // 2)
-    out[1::2] = _unpack(odd, nbytes, length // 2)
+        a, b = a.coeffs, b.coeffs
+        bits, short, long = _bits(a) + _bits(b), min(len(a), len(b)), max(len(a), len(b))
+        # every coefficient of m a b is below 2^bound in absolute value
+        bound = max(bound, m.bit_length() + bits + short.bit_length())
+        length = max(length, short + long - 1)
+        # _mul_int multiplies this term through decimal
+        decimal = decimal or short >= _MUL_PACK_MIN and long * bits >= _MUL_DEC_MIN
+        ops.append((m, a, b))
+    if decimal:
+        out = [0] * length
+        for m, a, b in ops:
+            for i, c in enumerate(_mul_int(a, b)):
+                out[i] += m * c
+    else:
+        skip = once.coeffs if once is not None else None
+
+        def pair(v, w):
+            if v is skip:
+                return _pack_pm(v, w)
+            entry = packed.get((id(v), w))
+            if entry is None:
+                entry = packed[id(v), w] = (v, _pack_pm(v, w))
+            return entry[1]
+
+        # a slot of w bits holds the sum's coefficients with their signs
+        out = _ks2(ops, (bound + len(ops).bit_length() + 8) // 8, length, pair)
     prim, cont = _primitive(out)
     return Polynomial._make(Fraction(cont, den), prim)
-
-
-def _operand(packed, coeffs):
-    """The ``_sum_of_products`` table entry of coeffs: (coeffs, bits, the
-    _pack_pm pair at a slot width w), made on first use."""
-    entry = packed.get(id(coeffs))
-    if entry is None:
-        by_width = {}
-
-        def at(w):
-            values = by_width.get(w)
-            if values is None:
-                values = by_width[w] = _pack_pm(coeffs, w)
-            return values
-
-        entry = packed[id(coeffs)] = (coeffs, _bits(coeffs), at)
-    return entry
 
 
 def _as_poly(v) -> Polynomial:

@@ -38,12 +38,14 @@ and every step after a swap go one column at a time.
 
 Every update, of either kind, is one signed sum of products
 (``field._sum_of_products``): its terms are multiplied by Kronecker
-substitution at one slot width, summed as packed ints and read back once,
-and an operand that recurs within a pass (c0, the pivot, a_ik, a_i(k+1),
-x_j and y_j) is packed once per slot width.  On c:q^2,q,q^2 with m = 1 at
-n = 10, the best of 4 in-process runs took 0.47-0.52 s one column per step
-and 0.39-0.45 s two columns per pass (3 alternating processes, 2 cores,
-Python 3.11).
+substitution at one slot width, summed as packed ints and read back once.
+The operands that recur within a pass (the pivot, c0, a_(k+1)k, the
+entries of rows k and k + 1, a_ik, a_i(k+1), x_j and y_j) are packed once
+per slot width; the entry an update replaces is used once and is not kept.
+On c:q^2,q,q^2 with m = 1 at n = 10, the best of 4 in-process runs took
+0.55-0.86 s one column per step and 0.44-0.57 s two columns per pass (8
+alternating processes, 2 cores, Python 3.11, on a host shared with other
+jobs).
 
 ``leading_minors`` reads every leading minor d(1), ..., d(n) off one
 elimination, the way the paper's Lemma reads every Hankel determinant off
@@ -203,12 +205,12 @@ def _bareiss(M: SquareMatrix):
 
     prev, k = P_ONE, 0
     while k < n:
-        # the operands of this pass, packed once per slot width
+        # the operands that recur in this pass, packed once per slot width
         packed = {}
 
-        def update(a, b, c, d):
-            """(a b - c d) // prev."""
-            return _sum_of_products(((1, a, b), (-1, c, d)), packed) // prev
+        def update(p1, p2, q1, q2, once=None):
+            """(p1 p2 - q1 q2) // prev; once is an operand used only here."""
+            return _sum_of_products(((1, p1, p2), (-1, q1, q2)), packed, once) // prev
 
         swapped = a[k][k].is_zero
         if swapped:
@@ -239,15 +241,15 @@ def _bareiss(M: SquareMatrix):
                 for i in range(s, n):
                     row, ai0, ai1 = a[i], a[i][k], a[i][k + 1]
                     for j in range(i, n):
-                        row[j] = _sum_of_products(((1, c0, row[j]), (-1, ai1, x[j - s]),
-                                                   (1, ai0, y[j - s])), packed) // prev
+                        terms = (1, c0, row[j]), (-1, ai1, x[j - s]), (1, ai0, y[j - s])
+                        row[j] = _sum_of_products(terms, packed, row[j]) // prev
                 prev, k = c0, s
                 continue
             # a zero minor: step k alone, then step k + 1 swaps
         for i in range(k + 1, n):
             row, aik = a[i], a[i][k]
             for j in range(i if symmetric else k + 1, n):
-                row[j] = update(pivot, row[j], aik, top[j])
+                row[j] = update(pivot, row[j], aik, top[j], row[j])
         prev, k = pivot, k + 1
 
 

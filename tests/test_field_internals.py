@@ -305,9 +305,11 @@ def test_try_div_exact_quotient_wider_than_dividend():
 # word-sized pack and unpack, and packed sums of products
 # ---------------------------------------------------------------------------
 
-# lengths on both sides of the word path's cut-off
-_WORD_LENGTHS = st.sampled_from((0, 1, 2, 3, field._WORDS_MIN - 2, field._WORDS_MIN - 1,
-                                 field._WORDS_MIN, field._WORDS_MIN + 1, 2 * field._WORDS_MIN + 3))
+# lengths on both sides of the Horner leaf of 16 coefficients and of the word
+# path's cut-off
+_PACK_LENGTHS = st.sampled_from((0, 1, 2, 3, 15, 16, 17, field._WORDS_MIN - 2,
+                                 field._WORDS_MIN - 1, field._WORDS_MIN, field._WORDS_MIN + 1,
+                                 2 * field._WORDS_MIN + 3))
 
 
 @st.composite
@@ -316,7 +318,7 @@ def slot_digits(draw):
     nbytes = draw(st.integers(1, 17))
     half = 1 << (8 * nbytes - 1)
     digit = st.one_of(st.sampled_from((-half, half - 1, -1, 0)), st.integers(-half, half - 1))
-    n = draw(_WORD_LENGTHS)
+    n = draw(_PACK_LENGTHS)
     return nbytes, draw(st.lists(digit, min_size=n, max_size=n))
 
 
@@ -343,7 +345,7 @@ def test_pack_unpack_round_trip(case):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(1, 17), _WORD_LENGTHS, st.integers(1, 80), st.integers(0, 3), st.data())
+@given(st.integers(1, 17), _PACK_LENGTHS, st.integers(1, 80), st.integers(0, 3), st.data())
 def test_pack_carries_coefficients_wider_than_the_slot(nbytes, n, extra, lo, data):
     # up to 80 bits more than the slot: some fit a machine word, some not
     w = 8 * nbytes
@@ -405,9 +407,8 @@ def test_sum_of_products_matches_polynomial_expression(terms, cancel):
         terms = terms + [(-s, b, a)]
     packed = {}
     got = field._sum_of_products(terms, packed)
-    assert got == expression(terms)
     assert (got.content, got.coeffs) == (expression(terms).content, expression(terms).coeffs)
-    # the table now holds every operand: a second call reads it back
+    # the table now holds the operands: a second call reads it back
     assert field._sum_of_products(terms, packed) == got
     if cancel and len(terms) == 2:
         assert got.is_zero
@@ -430,6 +431,17 @@ def test_sum_of_products_edge_cases():
     x, y = _poly([31] * 62 + [30]), _poly([7] * 62 + [6])
     for s in (1, -1):
         assert field._sum_of_products([(s, x, y)] * 3, {}) == x * y * (3 * s)
+
+
+def test_sum_of_products_packs_once_without_the_table():
+    a, b, c = _poly(range(1, 30)), _poly([5, -2] * 20), _poly([1, 1, -7])
+    packed = {}
+    got = field._sum_of_products([(1, a, b), (-1, c, a)], packed, b)
+    assert got == a * b - c * a
+    assert {id(v) for v, _ in packed.values()} == {id(a.coeffs), id(c.coeffs)}
+    # one entry per operand and slot width, each holding its vector
+    assert all(key[0] == id(v) for key, (v, _) in packed.items())
+    assert len(packed) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -570,6 +582,22 @@ def test_without_c_decimal_products_stay_on_ks2(monkeypatch):
     b = _random_vector(rng, 401, 600)
     assert module._mul_int(a, b) == ks2_mul(a, b)
     assert calls == [1]
+
+
+@needs_c_decimal
+@pytest.mark.parametrize("bits", [99, 100])
+def test_sum_of_products_long_terms_multiply_through_decimal(monkeypatch, bits):
+    # as in _mul_int: len_max (bits a + bits b) is 198 000 at 99 bits and
+    # 200 000 at 100, so only the second sum adds _mul_decimal products
+    rng = random.Random(bits)
+    a, b = _vector_of_bits(rng, 1000, bits), _vector_of_bits(rng, 400, bits)
+    c, d = _random_vector(rng, 300, 20), _random_vector(rng, 700, 30)
+    pa, pb = Polynomial._make(Fraction(3, 2), a), Polynomial._make(Fraction(-1, 5), b)
+    pc, pd = Polynomial._make(Fraction(7), c), Polynomial._make(Fraction(1, 3), d)
+    expected = pa * pb - pc * pd
+    calls = _recorded(monkeypatch, "_mul_decimal")
+    assert field._sum_of_products([(1, pa, pb), (-1, pc, pd)], {}) == expected
+    assert calls == ([(1000, 400)] if bits == 100 else [])
 
 
 # ---------------------------------------------------------------------------
