@@ -52,11 +52,12 @@ one core), KS2 against decimal in ms: (1301, 600) 192 / 75; (1501, 260)
 (301, 300) 4.7 / 5.5; (801, 100) 7.6 / 8.5; (601, 130) 6.4 / 7.5; (401,
 100) 2.9 / 4.5.  Between sizes of 1.5 and 3 * 10^5 the two paths are
 within 20 % of each other either way; below that decimal loses by up to
-1.6x, and above it gains up to 2.6x.  Its extra
-cost is the string conversions, one per coefficient, so at one size it
-gains more on fewer, wider coefficients: the 228 products past the cut-off
-in the n = 13 Bareiss determinant of ``c:q^2,q,q^2``, of about 130 bits
-each, took 3.47 s against 3.65 s on KS2.  Leaves of 16 to 128
+1.6x, and above it gains up to 2.6x.  Its extra cost is the string
+conversions, one per coefficient.  That sweep predates the word path of
+``_pack`` and ``_unpack`` below: since it, the 180 products past the
+cut-off in the n = 13 Bareiss determinant of ``c:q^2,q,q^2`` (1034-2977
+coefficients of about 120 bits) took 2.08-2.36 s through decimal against
+1.86-2.22 s on KS2 (best of 5 replays, 3 runs).  Leaves of 16 to 128
 coefficients differed by less than the noise between sweeps, 32 was within
 7 % of the fastest at (1301, 600), (601, 200) and (1301, 100), and 8 was
 slower.  The traced peak of new memory at (1301, 600) is 1.54 MB against
@@ -82,11 +83,37 @@ packed ints: CPython's big-int division is quadratic, and at (degree 1300,
 schoolbook loop and 0.5 s for the 2-adic path (Python 3.11, one core).  With
 F = f(2^w) and G = g(2^w), the quotient h(2^w) = F / G is F G^-1 modulo
 2^(w len h) once the powers of 2 are divided out of G, and a Newton
-iteration gives G^-1 with multiplies only.  Quotient coefficients have no
-cheap bound, so w is a guess from bits(f) - bits(g); the result is returned
-only when g h == f (the certificate), and otherwise the schoolbook loop
-decides.  Lead coefficients that do not divide, missing zero low
+iteration gives G^-1 with multiplies only; the quotient is found in two
+halves, so G^-1 is needed to half the precision.  Quotient coefficients
+have no cheap bound, so w is a guess from bits(f) - bits(g); the result is
+returned only when g h == f (the certificate), and otherwise the schoolbook
+loop decides.  Lead coefficients that do not divide, missing zero low
 coefficients and a 2-adic valuation of F below G's reject at once.
+
+Long quotients are divided by KS2, as products are: H+ = h(2^(w/2)) and
+H- = h(-2^(w/2)) are exact quotients of the values of f and g there, ints
+half as long as F, and (H+ + H-)/2 and (H+ - H-)/2^(w/2 + 1) hold the even
+and the odd coefficients at 2^w, as after a product.  With n = len h and
+every |h_i| < 2^(w-1), |H+-| < 2^(w-1) 2 2^((w/2)(n-1)) = 2^(k-1) for k =
+(w/2)(n + 1) + 1, so the residue modulo 2^k in [-2^(k-1), 2^(k-1)) is the
+quotient itself.  A
+divisor with a root at 2^(w/2) or -2^(w/2) has no quotient there, and the
+schoolbook loop decides.  Under Karatsuba the Newton inverse and the
+masked products of two quotients of half the length cost about 2/3 of one.
+The exact division at (1300, 600), certificate included, took 190 ms
+against 280 ms for one quotient at 2^w, and 14.4 against 18.2 ms at (600,
+200) (best of 9, interleaved in one process, Python 3.11).  The cut-off
+``_DIV_KS2_MIN`` = 8192 is on w n, the bits of the packed quotient: below
+it the cost is Python's, two Newton loops and four packs in place of one
+and two.  In a sweep of quotients of 64-384 coefficients of 8-80 bits by
+divisors of as many 20-bit coefficients (best of 15, 3 rounds), KS2 took
+0.95-1.34 times the one-point time up to w n = 8192 (above 1 at 8 of 10
+points), 0.88-0.96 times from 9216 to 13 824 bits and 0.76-0.86 times
+above.  In a replay of the ``_quotient_2adic`` calls of one repetition of
+each benchmark workload (two seeds, best of 31, interleaved), the 140
+calls past the cut-off took 414 ms against 596 ms at 2^w, and the 1058
+below it 78.7 ms, against 77.9 ms before the quotient at 2^w moved into
+the integer helper it now shares with KS2.
 
 Below the cut-offs the schoolbook loops win.  A sweep over lengths 4-600 and
 coefficient sizes 1-600 bits put the multiply's crossover at a shorter
@@ -178,6 +205,7 @@ from .errors import DivisionByZero, ParseError, PoleAtPoint
 
 _MUL_PACK_MIN = 16
 _DIV_PACK_MIN = 32
+_DIV_KS2_MIN = 8192
 _DEC_LEAF = 32
 _WORDS_MIN = 48
 
@@ -298,11 +326,24 @@ def _unpack(value, nbytes, n):
     return [from_bytes(data[i:i + nbytes], "little") - half for i in range(0, size, nbytes)]
 
 
-def _pack_pm(coeffs, w):
-    """The vector's values at 2^(w/2) and at -2^(w/2)."""
-    even = _pack(coeffs[0::2], w)
-    odd = _pack(coeffs[1::2], w) << (w // 2)
+def _pack_pm(coeffs, w, lo=0):
+    """The values at 2^(w/2) and at -2^(w/2) of the vector read from index
+    lo on."""
+    even = _pack(coeffs[lo::2], w)
+    odd = _pack(coeffs[lo + 1::2], w) << (w // 2)
     return even + odd, even - odd
+
+
+def _unpack_pm(plus, minus, nbytes, n):
+    """The n coefficients of a vector v from P = v(2^(w/2)) and M =
+    v(-2^(w/2)), w = 8 nbytes, each coefficient fitting a w-bit slot with
+    its sign: (P + M) / 2 holds the even coefficients at 2^w, and (P - M) /
+    2^(w/2 + 1) the odd ones."""
+    out = [0] * n
+    odd = (plus - minus) >> (4 * nbytes + 1)
+    out[0::2] = _unpack((plus + minus) >> 1, nbytes, (n + 1) // 2)
+    out[1::2] = _unpack(odd, nbytes, n // 2)
+    return out
 
 
 def _mul_packed(a, b, bits):
@@ -331,14 +372,7 @@ def _ks2(terms, nbytes, length, pair):
         del a_minus, b_minus
         minus += prod if m == 1 else m * prod
         del prod
-    out = [0] * length
-    odd = (plus - minus) >> (w // 2 + 1)
-    plus = (plus + minus) >> 1
-    del minus
-    out[0::2] = _unpack(plus, nbytes, (length + 1) // 2)
-    del plus
-    out[1::2] = _unpack(odd, nbytes, length // 2)
-    return out
+    return _unpack_pm(plus, minus, nbytes, length)
 
 
 class _DecimalSlots:
@@ -507,31 +541,55 @@ def _inverse_2adic(g, k):
     return x
 
 
-def _quotient_2adic(f, g, low, n):
-    """Candidate for the n coefficients of f / g, both read from index low
-    on, g[low] != 0: the digits of the exact quotient H = F / G, with F and G
-    the vectors packed at a slot width guessed from bits(f) - bits(g).
-    None when G does not divide F, so g cannot divide f; () when G = 0."""
-    nbytes = (max(_bits(f) - _bits(g), 0) + n.bit_length() + 16) // 8
-    w = 8 * nbytes
-    big_g = _pack(g, w, low)
-    if not big_g:
-        return ()
+def _divexact_2adic(big_f, big_g, k):
+    """The exact quotient F / G of ints, G != 0, as the signed int in
+    [-2^(k-1), 2^(k-1)) congruent to it modulo 2^k (Jebelean), or None when
+    the 2-adic valuation of F is below G's, so that G cannot divide F."""
     v = (big_g & -big_g).bit_length() - 1
-    big_f = _pack(f, w, low)
     if big_f & ((1 << v) - 1):
         return None
     big_f >>= v
     big_g >>= v
-    # H = F G^-1 mod 2^k, found in two halves so that G^-1 is only needed
-    # to half the precision
-    k = w * n
+    # F G^-1 mod 2^k, found in two halves so that G^-1 is only needed to
+    # half the precision
     half = (k + 1) // 2
     inv = _inverse_2adic(big_g, half)
     lo = (big_f & ((1 << half) - 1)) * inv & ((1 << half) - 1)
     rest = (big_f - (big_g & ((1 << k) - 1)) * lo) >> half
     hi = (rest & ((1 << (k - half)) - 1)) * inv & ((1 << (k - half)) - 1)
-    return tuple(_unpack(lo + (hi << half), nbytes, n))
+    h = lo + (hi << half)
+    return h - (1 << k) if h >> (k - 1) else h
+
+
+def _quotient_2adic(f, g, low, n):
+    """Candidate for the n coefficients of f / g, both read from index low
+    on, g[low] != 0, from exact integer quotients of the vectors' values at
+    a slot width w guessed from bits(f) - bits(g): h(2^w) = f(2^w) / g(2^w)
+    when w n < ``_DIV_KS2_MIN``, else h(2^(w/2)) and h(-2^(w/2)) (KS2).
+    None when one of those integer divisions is inexact, so g cannot divide
+    f; () when a divisor value is 0."""
+    nbytes = (max(_bits(f) - _bits(g), 0) + n.bit_length() + 16) // 8
+    w = 8 * nbytes
+    if w * n < _DIV_KS2_MIN:
+        big_g = _pack(g, w, low)
+        if not big_g:
+            return ()
+        quot = _divexact_2adic(_pack(f, w, low), big_g, w * n)
+        return None if quot is None else tuple(_unpack(quot, nbytes, n))
+    g_plus, g_minus = _pack_pm(g, w, low)
+    if not g_plus or not g_minus:
+        return ()
+    f_plus, f_minus = _pack_pm(f, w, low)
+    # with every |h_i| < 2^(w-1), |h(+-2^(w/2))| < 2^(w-1) 2 2^(w/2 (n-1)) =
+    # 2^(k-1), so the signed lifts modulo 2^k are the values themselves
+    k = w // 2 * (n + 1) + 1
+    plus = _divexact_2adic(f_plus, g_plus, k)
+    if plus is None:
+        return None
+    minus = _divexact_2adic(f_minus, g_minus, k)
+    if minus is None:
+        return None
+    return tuple(_unpack_pm(plus, minus, nbytes, n))
 
 
 def _try_div_exact(f, g):

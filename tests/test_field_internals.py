@@ -20,14 +20,17 @@ from hypothesis import strategies as st
 
 from hankelkit import field
 from hankelkit.field import (
+    _DIV_KS2_MIN,
     _DIV_PACK_MIN,
     _MUL_PACK_MIN,
     FieldElem,
     Polynomial,
+    _divexact_2adic,
     _gcd_cofactors,
     _mul_int,
     _pack,
     _primitive,
+    _quotient_2adic,
     _try_div_exact,
     _unpack,
     as_field,
@@ -299,6 +302,111 @@ def test_try_div_exact_quotient_wider_than_dividend():
     assert _try_div_exact(f, g) == h
     assert _try_div_exact(f, h) == g
     assert _try_div_exact(f[:-1] + (f[-1] * 3,), g) is None
+
+
+def guessed_width(f, g, n):
+    """The slot width w that _quotient_2adic guesses for an n-coefficient quotient."""
+    return 8 * ((max(field._bits(f) - field._bits(g), 0) + n.bit_length() + 16) // 8)
+
+
+def _not_divisible(f, g):
+    """f with one coefficient moved by 1, which g no longer divides."""
+    off = list(f)
+    off[len(off) // 2] += 1
+    off = tuple(off)
+    assert schoolbook_div(off, g) is None
+    return off
+
+
+@pytest.mark.parametrize("n", [64, 65, 200, 201])
+@pytest.mark.parametrize("low", [0, 3])
+def test_quotient_2adic_on_both_sides_of_the_ks2_cutoff(n, low):
+    # n = 64, 65 pack the quotient in fewer bits than the cut-off and divide
+    # once at 2^w; n = 200, 201 pass it and divide at +-2^(w/2)
+    rng = random.Random(n + low)
+    hbits = 20 if n < 100 else 60
+    g = (0,) * low + _random_vector(rng, 40, 30)
+    h = _random_vector(rng, n, hbits)
+    f = schoolbook_mul(g, h)
+    assert (guessed_width(f, g, n) * n >= _DIV_KS2_MIN) == (n > 100)
+    assert _quotient_2adic(f, g, low, n) == h
+    assert _try_div_exact(f, g) == schoolbook_div(f, g) == h
+    off = _not_divisible(f, g)
+    assert _try_div_exact(off, g) is None
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_quotient_2adic_divisor_with_a_root_at_half_the_slot(sign):
+    # g(sign 2^(w/2)) = 0 at the guessed w: KS2 has no quotient at that point,
+    # so the schoolbook loop decides
+    rng = random.Random(sign)
+    n = 70
+    g2 = _random_vector(rng, 40, 10)
+    h = _random_vector(rng, n, 100)
+    for w in range(8, 400, 8):
+        g = schoolbook_mul(g2, (-sign << (w // 2), 1))
+        f = schoolbook_mul(g, h)
+        if guessed_width(f, g, n) == w:
+            break
+    else:
+        pytest.fail("no slot width puts a root of g at half the slot")
+    assert w * n >= _DIV_KS2_MIN
+    assert sum(c * (sign << (w // 2)) ** i for i, c in enumerate(g)) == 0
+    assert _quotient_2adic(f, g, 0, n) == ()
+    assert _try_div_exact(f, g) == h
+    assert _try_div_exact(_not_divisible(f, g), g) is None
+
+
+@pytest.mark.parametrize("n", [40, 41, 110, 111])
+def test_quotient_2adic_digits_at_the_slot_edges(n):
+    # g = q^11 (1 + q)^21 and h = c (1 - q)^21 + small terms, so f = g h is
+    # c q^11 (1 - q^2)^21 plus small terms: bits(f) - bits(g) is far below
+    # bits(h).  c = (2^(w-1) - 1) // C(21, 10), and the two middle digits
+    # of h, +-c C(21, 10), are moved to +-(2^(w-1) - 1) at the guessed w.
+    # n = 40, 41 divide at 2^w, n = 110, 111 at +-2^(w/2).
+    a, low, w = 21, 11, 80
+    edge = (1 << (w - 1)) - 1
+    middle = comb(a, a // 2)
+    rng = random.Random(n)
+    g = (0,) * low + tuple(comb(a, j) for j in range(a + 1))
+    h = [(edge // middle) * (-1) ** j * comb(a, j) for j in range(a + 1)]
+    h += [rng.randint(-3, 3) for _ in range(n - a - 2)] + [1]
+    h[a // 2] = edge
+    h[a // 2 + 1] = -edge
+    h = tuple(h)
+    f = schoolbook_mul(g, h)
+    assert guessed_width(f, g, n) == w
+    assert (w * n >= _DIV_KS2_MIN) == (n > 100)
+    assert _quotient_2adic(f, g, low, n) == h
+    assert _try_div_exact(f, g) == h
+    assert _try_div_exact(_not_divisible(f, g), g) is None
+
+
+@pytest.mark.parametrize("k", [2, 3, 63, 64, 65, 1000])
+def test_divexact_2adic_signed_lift(k):
+    # every quotient in [-2^(k-1), 2^(k-1)) comes back exactly; the divisor
+    # may be even, and a dividend of lower 2-adic valuation is rejected
+    rng = random.Random(k)
+    top = 1 << (k - 1)
+    for quot in (0, 1, -1, top - 1, -top, rng.randrange(-top, top)):
+        for divisor in (rng.randrange(1, 1 << 80) | 1, -(rng.randrange(1, 1 << 80) << 5), 1 << 7):
+            assert _divexact_2adic(quot * divisor, divisor, k) == quot
+    # 2^(k-1) is past the range, so it reads as its residue -2^(k-1)
+    assert _divexact_2adic(top * 3, 3, k) == -top
+    assert _divexact_2adic((1 << 5) + 1, 1 << 5, k) is None
+
+
+@settings(max_examples=120, deadline=None)
+@given(int_vectors(), int_vectors(), st.booleans(), st.sampled_from((0, math.inf)))
+def test_try_div_exact_ks2_or_one_point_matches_schoolbook(g, h, perturb, cut):
+    # the cut-off patched to 0 sends every packed division through KS2, and
+    # to infinity through the one division at 2^w
+    f = schoolbook_mul(g, h)
+    if perturb and len(f) > 2:
+        f = f[:len(f) // 2] + (f[len(f) // 2] + 1,) + f[len(f) // 2 + 1:]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(field, "_DIV_KS2_MIN", cut)
+        assert _try_div_exact(f, g) == schoolbook_div(f, g)
 
 
 # ---------------------------------------------------------------------------
