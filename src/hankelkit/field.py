@@ -54,28 +54,29 @@ one core), KS2 against decimal in ms: (1301, 600) 192 / 75; (1501, 260)
 within 20 % of each other either way; below that decimal loses by up to
 1.6x, and above it gains up to 2.6x.  Its extra cost is the string
 conversions, one per coefficient.  That sweep predates the word path of
-``_pack`` and ``_unpack`` below: since it, the 180 products past the
-cut-off in the n = 13 Bareiss determinant of ``c:q^2,q,q^2`` (1034-2977
-coefficients of about 120 bits) took 2.08-2.36 s through decimal against
-1.86-2.22 s on KS2 (best of 5 replays, 3 runs).  Leaves of 16 to 128
-coefficients differed by less than the noise between sweeps, 32 was within
-7 % of the fastest at (1301, 600), (601, 200) and (1301, 100), and 8 was
-slower.  The traced peak of new memory at (1301, 600) is 1.54 MB against
-1.48 MB for KS2, and 0.22 against 0.23 MB at (601, 200).
+``_pack`` and ``_unpack`` below: since it, the 72 products past the
+cut-off in the n = 13 Bareiss determinant of ``c:q^2,q,q^2`` (62
+certificates of its exact divisions, 7 products of its clearing lcms and 3
+in its mirrored columns; operands of 26-2977 coefficients, bits(a) +
+bits(b) of 132-446) took 0.63-0.69 s through decimal against 0.55-0.57 s
+on KS2 (best of 5 replays, 3 rounds, Python 3.11).  Leaves of 16 to 128
+coefficients differed by less than the noise between sweeps, 32 was
+within 7 % of the fastest at (1301, 600), (601, 200) and (1301, 100), and
+8 was slower.  The traced peak of new memory at (1301, 600) is 1.54 MB
+against 1.48 MB for KS2, and 0.22 against 0.23 MB at (601, 200).
 
-A signed sum of products, as every Bareiss update is, runs one KS2 for the
-whole sum (``_sum_of_products``): the factors' contents become integer
-multipliers over one denominator, each term's two half-length products,
-times its multiplier, are added into two ints, and the sum is read back
-once, at the slot width of its largest term plus bit_length(#terms) bits.
-Packing and reading back cost per coefficient, and at Bareiss's sizes
-they cost more than the multiplies: on a (107, 43-bit) product KS2 took
-188 us, of which the two big-int multiplies were 36 us (best of 9, Python
-3.11, one core).  So a sum of three products reads back one vector, not
-three, and a caller's table packs each operand that recurs once per slot
-width.  A sum with a term past ``_MUL_DEC_MIN`` adds the terms'
-``_mul_int`` products instead, so that term still multiplies through
-decimal.
+A signed sum of products of integer vectors, as every Bareiss update is,
+runs one KS2 for the whole sum (``_sum_of_products``): each term's two
+half-length products are added into two ints with the term's sign, and
+the sum is read back once, at the slot width of its largest term plus
+bit_length(#terms) bits.  The vectors carry their own contents, so the
+sum takes no multipliers, and it has no decimal route: a term past
+``_MUL_DEC_MIN`` stays on KS2.  Packing and reading back cost per
+coefficient, and at Bareiss's sizes they cost more than the multiplies:
+on a (107, 43-bit) product KS2 took 188 us, of which the two big-int
+multiplies were 36 us (best of 9, Python 3.11, one core).  So a sum of
+three products reads back one vector, not three, and a caller's table
+packs each operand that recurs once per slot width.
 
 Long exact divisions are 2-adic (Jebelean, JSC 1993), not ``divmod`` on the
 packed ints: CPython's big-int division is quadratic, and at (degree 1300,
@@ -354,23 +355,24 @@ def _mul_packed(a, b, bits):
 
 
 def _ks2(terms, nbytes, length, pair):
-    """The length coefficients of sum(m a b for m, a, b in terms), for ints m
-    and integer vectors a and b, from the sum's values at 2^(w/2) and
-    -2^(w/2), w = 8 nbytes (Harvey's KS2): two multiplies per term of ints
-    half as long as the one product at 2^w.  Every coefficient of the sum
-    must fit a w-bit slot with its sign; pair(v, w) is _pack_pm(v, w)."""
+    """The length coefficients of sum(s a b for s, a, b in terms), for signs
+    s = 1 or -1 and integer vectors a and b, from the sum's values at
+    2^(w/2) and -2^(w/2), w = 8 nbytes (Harvey's KS2): two multiplies per
+    term of ints half as long as the one product at 2^w.  Every coefficient
+    of the sum must fit a w-bit slot with its sign; pair(v, w) is
+    _pack_pm(v, w)."""
     w = 8 * nbytes
     plus = minus = 0
-    for m, a, b in terms:
+    for s, a, b in terms:
         a_plus, a_minus = pair(a, w)
         b_plus, b_minus = pair(b, w)
         # these ints are the peak memory of a long product: free each early
         prod = a_plus * b_plus
         del a_plus, b_plus
-        plus += prod if m == 1 else m * prod
+        plus = plus + prod if s > 0 else plus - prod
         prod = a_minus * b_minus
         del a_minus, b_minus
-        minus += prod if m == 1 else m * prod
+        minus = minus + prod if s > 0 else minus - prod
         del prod
     return _unpack_pm(plus, minus, nbytes, length)
 
@@ -802,54 +804,35 @@ P_ONE = Polynomial._make(Fraction(1), (1,))
 
 
 def _sum_of_products(terms, packed, once=None):
-    """sum(s a b for s, a, b in terms), for Polynomials a and b and signs
-    s = 1 or -1: the contents become integer multipliers over one
-    denominator, and the sum is formed by one ``_ks2`` at the slot width of
-    its largest term, read back once and made primitive.  A sum with a
-    term that ``_mul_int`` multiplies through decimal adds the terms'
-    ``_mul_int`` products instead.
+    """sum(s a b for s, a, b in terms), for integer vectors a and b and signs
+    s = 1 or -1, formed by one ``_ks2`` at the slot width of its largest
+    term and read back once.
 
     ``packed`` is a table owned by the caller, (id(v), w) -> (v,
     _pack_pm(v, w)), so that an operand that recurs is packed once per slot
     width; each entry holds its vector, so that no id is reused while the
     table lives.  The operand ``once``, used in this sum only, is packed
     without the table."""
-    terms = [(s, a, b) for s, a, b in terms if a.coeffs and b.coeffs]
+    terms = [(s, a, b) for s, a, b in terms if a and b]
     if not terms:
-        return P_ZERO
-    den = math.lcm(*(a.content.denominator * b.content.denominator for _, a, b in terms))
-    ops, bound, length, decimal = [], 0, 0, False
-    for s, a, b in terms:
-        x, y = a.content, b.content
-        m = s * x.numerator * y.numerator * (den // (x.denominator * y.denominator))
-        a, b = a.coeffs, b.coeffs
-        bits, short, long = _bits(a) + _bits(b), min(len(a), len(b)), max(len(a), len(b))
-        # every coefficient of m a b is below 2^bound in absolute value
-        bound = max(bound, m.bit_length() + bits + short.bit_length())
-        length = max(length, short + long - 1)
-        # _mul_int multiplies this term through decimal
-        decimal = decimal or short >= _MUL_PACK_MIN and long * bits >= _MUL_DEC_MIN
-        ops.append((m, a, b))
-    if decimal:
-        out = [0] * length
-        for m, a, b in ops:
-            for i, c in enumerate(_mul_int(a, b)):
-                out[i] += m * c
-    else:
-        skip = once.coeffs if once is not None else None
+        return ()
+    bound = length = 0
+    for _, a, b in terms:
+        short = min(len(a), len(b))
+        # every coefficient of a b is below 2^bound in absolute value
+        bound = max(bound, _bits(a) + _bits(b) + short.bit_length())
+        length = max(length, len(a) + len(b) - 1)
 
-        def pair(v, w):
-            if v is skip:
-                return _pack_pm(v, w)
-            entry = packed.get((id(v), w))
-            if entry is None:
-                entry = packed[id(v), w] = (v, _pack_pm(v, w))
-            return entry[1]
+    def pair(v, w):
+        if v is once:
+            return _pack_pm(v, w)
+        entry = packed.get((id(v), w))
+        if entry is None:
+            entry = packed[id(v), w] = (v, _pack_pm(v, w))
+        return entry[1]
 
-        # a slot of w bits holds the sum's coefficients with their signs
-        out = _ks2(ops, (bound + len(ops).bit_length() + 8) // 8, length, pair)
-    prim, cont = _primitive(out)
-    return Polynomial._make(Fraction(cont, den), prim)
+    # a slot of w bits holds the sum's coefficients with their signs
+    return _trim(_ks2(terms, (bound + len(terms).bit_length() + 8) // 8, length, pair))
 
 
 def _as_poly(v) -> Polynomial:
@@ -904,6 +887,12 @@ class FieldElem:
         e = object.__new__(cls)
         e.p, e.r, e.n, e.d = p, r, n, d
         return e
+
+    @classmethod
+    def _ratio(cls, f, g):
+        """f / g for integer vectors f and g, g nonzero."""
+        (n, p), (d, r) = _primitive(f), _primitive(g)
+        return cls(Polynomial._make(Fraction(p, r), n), Polynomial._make(1, d))
 
     @property
     def num(self) -> Polynomial:

@@ -7,11 +7,21 @@ the ``division`` engine (the signed product of its pivots) and ``ldlt``
 is, it updates only the upper triangle until its first row swap.
 
 The ``bareiss`` engine, the oracle of the other two with no algebra shared,
-is fraction-free elimination (Bareiss, Math. Comp. 22, 1968) on the rows
-cleared by L_i, the lcm of the denominators of rows 0..i (the row's own lcm
-when, as on the q-moment matrices, they are nested); one reduction divides
-L_0 ... L_(n-1) back out.  By Sylvester's identity, after step k - 1 a_ij
-is L_0 ... L_(k-1) L_i times the minor of M on rows 0..k-1, i and columns
+is fraction-free elimination (Bareiss, Math. Comp. 22, 1968) over Z[q], on
+plain integer coefficient vectors.  Row i is multiplied by L_i, the lcm of
+the denominators of rows 0..i (the row's own lcm when, as on the q-moment
+matrices, they are nested).  An entry p n / (r d) (``field``) has the
+denominator r d, an int times a primitive vector, and by Gauss's lemma
+lcm(r1 d1, r2 d2) = lcm(r1, r2) lcm(d1, d2).  So L_i = r d: its integer
+part r is the running lcm of the entries' integer denominators, and d that
+of their denominator vectors.  d grows by the gcd cofactor of each entry's
+vector against the lcm before it, and those cofactors also give d over
+each entry's vector by products alone, with no division.  The cleared
+entries, L_i / L_(i-1), the products L_0 ... L_k and every pivot are then
+integer vectors, and every division is exact over Z[q]
+(``field._try_div_exact``).  One reduction divides L_0 ... L_(n-1) back out
+of the last pivot.  By Sylvester's identity, after step k - 1 a_ij is
+L_0 ... L_(k-1) L_i times the minor of M on rows 0..k-1, i and columns
 0..k-1, j, which is symmetric in i and j when M is, so a_ji = a_ij L_j / L_i.
 Until its first row swap the engine updates only the upper triangle and
 reads the pivot column off the pivot row, one product by L_i / L_k per row.
@@ -36,12 +46,13 @@ at n = 10, where one column per step takes 165 and the full square 285.  A
 zero c0 (step k then runs alone and step k + 1 swaps), the last odd column
 and every step after a swap go one column at a time.
 
-Every update, of either kind, is one signed sum of products
-(``field._sum_of_products``): its terms are multiplied by Kronecker
-substitution at one slot width, summed as packed ints and read back once.
-The operands that recur within a pass (the pivot, c0, a_(k+1)k, the
-entries of rows k and k + 1, a_ik, a_i(k+1), x_j and y_j) are packed once
-per slot width; the entry an update replaces is used once and is not kept.
+Every update, of either kind, is one signed sum of products of integer
+vectors (``field._sum_of_products``), divided by p: its terms are
+multiplied by Kronecker substitution at one slot width, summed as packed
+ints and read back once.  The operands that recur within a pass (the
+pivot, c0, a_(k+1)k, the entries of rows k and k + 1, a_ik, a_i(k+1), x_j
+and y_j) are packed once per slot width; the entry an update replaces is
+used once and is not kept.
 On c:q^2,q,q^2 with m = 1 at n = 10, the best of 4 in-process runs took
 0.55-0.86 s one column per step and 0.44-0.57 s two columns per pass (8
 alternating processes, 2 cores, Python 3.11, on a host shared with other
@@ -61,11 +72,11 @@ and shift.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import math
 
 from .errors import NotNormalized, SingularLeadingMinor
-from .field import (F_ONE, F_ZERO, FieldElem, P_ONE, Polynomial, _gcd_cofactors, _mul_int,
-                    _sum_of_products, _try_div_exact, as_field)
+from .field import (F_ONE, F_ZERO, FieldElem, _gcd_cofactors, _mul_int, _sum_of_products,
+                    _try_div_exact, as_field)
 from .sequences import MomentSeq
 from .triangle import JacobiParams
 
@@ -169,8 +180,8 @@ def det_division(M: SquareMatrix) -> FieldElem:
 
 
 def _bareiss(M: SquareMatrix):
-    """Fraction-free (Bareiss) elimination on the rows cleared by the running
-    lcms L_i.
+    """Fraction-free (Bareiss) elimination over Z[q] on the rows cleared by
+    the running lcms L_i, every entry an integer vector.
 
     Yields (swapped, pivot, L_0 ... L_k) per step k, before the step updates
     the rows below: whether a row swap brought the pivot up, the pivot a_kk
@@ -184,42 +195,48 @@ def _bareiss(M: SquareMatrix):
     n = M.n
     symmetric = _is_symmetric(M.entries)
     a, ext, dens = [], [], []  # ext[i] = L_i / L_(i-1), dens[i] = L_0 ... L_i
-    lcm = den = (1,)
+    r, d, den = 1, (1,), (1,)  # L_i = r d (module docstring)
     for row in M.entries:
-        grow = (1,)
+        r_prev, cofs = r, []
         for v in row:
-            cof = _gcd_cofactors(lcm, v.d)[2]
-            lcm, grow = _mul_int(lcm, cof), _mul_int(grow, cof)
-        ext.append(Polynomial._make(1, grow))
-        den = _mul_int(den, lcm)
+            cofs.append(_gcd_cofactors(d, v.d))
+            r, d = math.lcm(r, v.r), _mul_int(d, cofs[-1][2])
+        # d / v.d is the cofactor of the lcm before v times the factors that
+        # the entries after v add, whose product is ext's vector at the end
+        cleared, grow = [], (1,)
+        for v, (_, d_cof, v_cof) in zip(reversed(row), reversed(cofs)):
+            cleared.append(_mul_int((v.p * (r // v.r),), _mul_int(v.n, _mul_int(d_cof, grow))))
+            grow = _mul_int(grow, v_cof)
+        a.append(cleared[::-1])
+        ext.append(_mul_int((r // r_prev,), grow))
+        den = _mul_int((r,), _mul_int(den, d))
         dens.append(den)
-        a.append([Polynomial._make(Fraction(v.p, v.r), _mul_int(
-            v.n, lcm if v.d == (1,) else _try_div_exact(lcm, v.d))) for v in row])
 
     def mirror(j):
         """Column j below the diagonal from row j: a_ij = a_ji L_i / L_j."""
-        ratio = P_ONE
+        ratio = (1,)
         for i in range(j + 1, n):
-            ratio = ratio * ext[i]
-            a[i][j] = a[j][i] * ratio
+            ratio = _mul_int(ratio, ext[i])
+            a[i][j] = _mul_int(a[j][i], ratio)
 
-    prev, k = P_ONE, 0
+    prev, k = (1,), 0
     while k < n:
         # the operands that recur in this pass, packed once per slot width
         packed = {}
 
         def update(p1, p2, q1, q2, once=None):
-            """(p1 p2 - q1 q2) // prev; once is an operand used only here."""
-            return _sum_of_products(((1, p1, p2), (-1, q1, q2)), packed, once) // prev
+            """(p1 p2 - q1 q2) / prev; once is an operand used only here."""
+            return _try_div_exact(_sum_of_products(((1, p1, p2), (-1, q1, q2)), packed, once),
+                                  prev)
 
-        swapped = a[k][k].is_zero
+        swapped = not a[k][k]
         if swapped:
             if symmetric:
                 # leave the symmetric steps: fill in the whole active block
                 symmetric = False
                 for j in range(k, n):
                     mirror(j)
-            swap = next((r for r in range(k + 1, n) if not a[r][k].is_zero), None)
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
             if swap is None:
                 yield False, a[k][k], dens[k]
                 return
@@ -232,7 +249,7 @@ def _bareiss(M: SquareMatrix):
             # steps k and k + 1 in one pass (module docstring)
             nxt, a10 = a[k + 1], a[k + 1][k]
             c0 = update(pivot, nxt[k + 1], a10, top[k + 1])
-            if not c0.is_zero:
+            if c0:
                 yield False, c0, dens[k + 1]
                 mirror(k + 1)
                 a01, a11, s = top[k + 1], nxt[k + 1], k + 2
@@ -242,7 +259,7 @@ def _bareiss(M: SquareMatrix):
                     row, ai0, ai1 = a[i], a[i][k], a[i][k + 1]
                     for j in range(i, n):
                         terms = (1, c0, row[j]), (-1, ai1, x[j - s]), (1, ai0, y[j - s])
-                        row[j] = _sum_of_products(terms, packed, row[j]) // prev
+                        row[j] = _try_div_exact(_sum_of_products(terms, packed, row[j]), prev)
                 prev, k = c0, s
                 continue
             # a zero minor: step k alone, then step k + 1 swaps
@@ -256,13 +273,13 @@ def _bareiss(M: SquareMatrix):
 def det_bareiss(M: SquareMatrix) -> FieldElem:
     """Determinant by fraction-free (Bareiss) elimination: the signed last
     pivot of ``_bareiss`` over L_0 ... L_(n-1)."""
-    sign, pivot, den = 1, P_ONE, (1,)
+    sign, pivot, den = 1, (1,), (1,)
     for swapped, pivot, den in _bareiss(M):
-        if pivot.is_zero:
+        if not pivot:
             return F_ZERO
         if swapped:
             sign = -sign
-    return FieldElem(-pivot if sign < 0 else pivot, Polynomial._make(1, den))
+    return FieldElem._ratio(pivot, den) * sign
 
 
 _ENGINES = {"bareiss": det_bareiss, "division": det_division}
@@ -300,10 +317,10 @@ def leading_minors(M: SquareMatrix, engine: str = DEFAULT_ENGINE):
             yield minor
     else:
         for swapped, pivot, den in _bareiss(M):
-            if swapped or pivot.is_zero:
+            if swapped or not pivot:
                 break
             order += 1
-            yield FieldElem(pivot, Polynomial._make(1, den))
+            yield FieldElem._ratio(pivot, den)
     if order < M.n:
         yield F_ZERO
     for k in range(order + 2, M.n + 1):

@@ -483,30 +483,29 @@ def test_pack_at_the_slot_edges(nbytes):
         assert _unpack(_pack([edge] * n, w), nbytes, n) == [edge] * n
 
 
-def _poly(coeffs):
-    return Polynomial([Fraction(c) for c in coeffs])
+def signed_sum(terms):
+    """sum(s a b for s, a, b in terms) by schoolbook products, trimmed."""
+    out = [0] * max((len(a) + len(b) - 1 for _, a, b in terms if a and b), default=0)
+    for s, a, b in terms:
+        for i, c in enumerate(schoolbook_mul(a, b)):
+            out[i] += s * c
+    return field._trim(out)
 
 
 @st.composite
-def polynomials(draw):
-    """Polynomials of 0-70 coefficients with integer or rational content."""
+def sum_operands(draw):
+    """Integer vectors of 0-70 coefficients of up to 90 bits, times a common
+    factor, so that they are often not primitive."""
     bits = draw(st.integers(1, 90))
     span = 1 << bits
     length = draw(st.sampled_from((0, 1, 2, 5, 17, 40, 70)))
     coeffs = draw(st.lists(st.integers(-span, span), min_size=length, max_size=length))
-    content = Fraction(draw(st.integers(-50, 50)) or 1, draw(st.sampled_from((1, 1, 3, 7, 12))))
-    return Polynomial([content * c for c in coeffs])
-
-
-def expression(terms):
-    total = Polynomial()
-    for s, a, b in terms:
-        total = total + a * b if s > 0 else total - a * b
-    return total
+    factor = draw(st.integers(-50, 50)) or 1
+    return field._trim([factor * c for c in coeffs])
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.lists(st.tuples(st.sampled_from((1, -1)), polynomials(), polynomials()),
+@given(st.lists(st.tuples(st.sampled_from((1, -1)), sum_operands(), sum_operands()),
                 min_size=1, max_size=4), st.booleans())
 def test_sum_of_products_matches_polynomial_expression(terms, cancel):
     if cancel:
@@ -515,38 +514,41 @@ def test_sum_of_products_matches_polynomial_expression(terms, cancel):
         terms = terms + [(-s, b, a)]
     packed = {}
     got = field._sum_of_products(terms, packed)
-    assert (got.content, got.coeffs) == (expression(terms).content, expression(terms).coeffs)
+    assert got == signed_sum(terms)
     # the table now holds the operands: a second call reads it back
     assert field._sum_of_products(terms, packed) == got
     if cancel and len(terms) == 2:
-        assert got.is_zero
+        assert got == ()
 
 
 def test_sum_of_products_edge_cases():
-    a, b = _poly(range(1, 60)), _poly([3, -1, 4, -1, 5])
-    half = Polynomial([Fraction(1, 2), Fraction(-3, 4)])
-    zero = Polynomial()
+    a, b = tuple(range(1, 60)), (3, -1, 4, -1, 5)
     packed = {}
-    assert field._sum_of_products([(1, zero, a), (-1, b, zero)], packed).is_zero
-    assert field._sum_of_products([(1, a, b), (-1, b, a)], packed).is_zero
-    assert field._sum_of_products([(1, a, half), (1, b, b), (-1, half, half)], packed) \
-        == a * half + b * b - half * half
+    assert field._sum_of_products([(1, (), a), (-1, b, ())], packed) == ()
+    assert field._sum_of_products([(1, a, b), (-1, b, a)], packed) == ()
+    # the sum is neither made primitive nor given a positive leading entry
+    assert field._sum_of_products([(-1, (2, 4), (3,))], packed) == (-6, -12)
+    # leading coefficients that cancel are trimmed: (1 + 3q + 5q^2 + 3q^3) - 3q^3
+    assert field._sum_of_products([(1, (1, 2, 3), (1, 1)), (-1, (0, 0, 3), (0, 1))],
+                                  packed) == (1, 3, 5)
     # a slot width set by the widest term's coefficients, not its length
-    wide = _poly([1 << 400, -(1 << 399) + 1])
-    assert field._sum_of_products([(1, a, b), (-1, wide, wide)], packed) == a * b - wide * wide
+    wide = (1 << 400, -(1 << 399) + 1)
+    terms = [(1, a, b), (-1, wide, wide), (1, a, (-3, 2))]
+    assert field._sum_of_products(terms, packed) == signed_sum(terms)
     # coefficients near the slot's bound: up to 63 * 31 * 7 < 2^14 in each
     # product, and three times that, with its sign, needs 17 bits
-    x, y = _poly([31] * 62 + [30]), _poly([7] * 62 + [6])
+    x, y = (31,) * 62 + (30,), (7,) * 62 + (6,)
     for s in (1, -1):
-        assert field._sum_of_products([(s, x, y)] * 3, {}) == x * y * (3 * s)
+        assert field._sum_of_products([(s, x, y)] * 3, {}) \
+            == tuple(3 * s * c for c in schoolbook_mul(x, y))
 
 
 def test_sum_of_products_packs_once_without_the_table():
-    a, b, c = _poly(range(1, 30)), _poly([5, -2] * 20), _poly([1, 1, -7])
+    a, b, c = tuple(range(1, 30)), (5, -2) * 20, (1, 1, -7)
     packed = {}
     got = field._sum_of_products([(1, a, b), (-1, c, a)], packed, b)
-    assert got == a * b - c * a
-    assert {id(v) for v, _ in packed.values()} == {id(a.coeffs), id(c.coeffs)}
+    assert got == signed_sum([(1, a, b), (-1, c, a)])
+    assert {id(v) for v, _ in packed.values()} == {id(a), id(c)}
     # one entry per operand and slot width, each holding its vector
     assert all(key[0] == id(v) for key, (v, _) in packed.items())
     assert len(packed) == 2
@@ -690,22 +692,6 @@ def test_without_c_decimal_products_stay_on_ks2(monkeypatch):
     b = _random_vector(rng, 401, 600)
     assert module._mul_int(a, b) == ks2_mul(a, b)
     assert calls == [1]
-
-
-@needs_c_decimal
-@pytest.mark.parametrize("bits", [99, 100])
-def test_sum_of_products_long_terms_multiply_through_decimal(monkeypatch, bits):
-    # as in _mul_int: len_max (bits a + bits b) is 198 000 at 99 bits and
-    # 200 000 at 100, so only the second sum adds _mul_decimal products
-    rng = random.Random(bits)
-    a, b = _vector_of_bits(rng, 1000, bits), _vector_of_bits(rng, 400, bits)
-    c, d = _random_vector(rng, 300, 20), _random_vector(rng, 700, 30)
-    pa, pb = Polynomial._make(Fraction(3, 2), a), Polynomial._make(Fraction(-1, 5), b)
-    pc, pd = Polynomial._make(Fraction(7), c), Polynomial._make(Fraction(1, 3), d)
-    expected = pa * pb - pc * pd
-    calls = _recorded(monkeypatch, "_mul_decimal")
-    assert field._sum_of_products([(1, pa, pb), (-1, pc, pd)], {}) == expected
-    assert calls == ([(1000, 400)] if bits == 100 else [])
 
 
 # ---------------------------------------------------------------------------
