@@ -50,10 +50,12 @@ DET_SIZE_LIMIT = 46
 # 53 s at n = 22 (Andrewsm 48, QHilbert 27); at 45 the three took at most 43 s.
 CROSS_CHECK_SIZE_LIMIT = 45
 # With --engine bareiss, det and closed-form --cross-check follow 3 n + m, as
-# Bareiss grows faster in n than in m: on c:q^2,q,q^2 at 50 det took 28-43 s
-# for n 9-16, and with --cross-check det, CBqm and Andrewsm took 37-48 s at
-# n 10-16.  51, which admits (17, 0), is untimed: det alone took 35 s at (16, 0).
-BAREISS_SIZE_LIMIT = 50
+# Bareiss grows faster in n than in m.  On c:q^2,q,q^2 at 50 det took 41.6-53.9 s
+# at (16, 2) (4 whole-process runs, once Bareiss ran on integer vectors), so
+# the limit is 49: det took 37.5-43.0 s at (16, 1) (4 runs) and 30.6-32.4 s
+# at (15, 4), and with --cross-check at (16, 1) CBqm took 32.7 s and
+# Andrewsm 34.9 s (one run each).
+BAREISS_SIZE_LIMIT = 49
 # det --cross-check adds the Jacobi route (jacobi_from_moments, det_from_jacobi)
 # to the elimination, 103 s at (22, 2): at 44 the pair took 49-62 s for n 19-22,
 # at 43 33-39 s for n 17-21, at 42 20-34 s for n 11-21.

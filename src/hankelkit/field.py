@@ -5,9 +5,12 @@ package.  A *primitive vector* is an integer coefficient tuple (ascending
 degree, trailing coefficient nonzero, positive leading entry, gcd 1).  A
 FieldElem is p n / (r d): two coprime ints p and r > 0 and two coprime
 primitive vectors n and d, so by Gauss's lemma each element of Q(q) has
-exactly one such form (Knuth, TAOCP vol. 2, 4.6.1).  A Polynomial, the
-public view returned by ``num`` and ``den``, is a ``Fraction`` content
-times one primitive vector.  Products of primitive vectors stay primitive,
+exactly one such form (Knuth, TAOCP vol. 2, 4.6.1).  FieldElem is the
+package's only arithmetic type.  A Polynomial is the read-only view that
+``num`` and ``den`` return, a ``Fraction`` content times one primitive
+vector; it compares and hashes as the field element it denotes, and its
+only arithmetic is the product, the exact quotient and the gcd that the
+benchmark's kernel rows time.  Products of primitive vectors stay primitive,
 so the hot paths (convolution, exact division, gcd, rendering) run on
 plain Python ints.
 
@@ -154,7 +157,11 @@ joined in Python; in a replay of the benchmark's pack and unpack calls,
 cut-offs of 32, 48 and 64 coefficients were within the noise of each
 other.  Over ten alternating pairs of ``det-kernels`` runs (55 s each, 2
 cores, Python 3.11) the word path cut the median ``wall_s`` from 1.271 to
-1.227 s, lower in all ten pairs.
+1.227 s, lower in all ten pairs.  The 16-byte read pays at Bareiss's
+sizes: the 319 unpacks of 9-16-byte slots (163-457 coefficients) in one n
+= 10 ``det_bareiss`` took 16.8 ms through it against 23.7 ms by
+``from_bytes`` (replayed, best of 31), and without it the ``det-kernels``
+median read 1.128 against 1.120 s, lower in 3 of ten pairs.
 
 Gcds are heuristic (GCDHEU: Char, Geddes and Gonnet, JSC 1989) and
 certified.  For primitive f = h u and g = h v with h their gcd, the integer
@@ -677,7 +684,12 @@ def _combine(xp, xr, a, yp, yr, b):
 
 
 class Polynomial:
-    """Univariate polynomial over Q in the indeterminate q."""
+    """A polynomial over Q in the indeterminate q: the read-only view that
+    ``FieldElem.num`` and ``FieldElem.den`` return, a ``Fraction`` content
+    times one primitive vector.  It compares and hashes as the field element
+    it denotes.  Its arithmetic is only ``*``, exact ``//`` and ``gcd``, the
+    kernel entry points that the benchmark times; every other operation
+    runs on FieldElem."""
 
     __slots__ = ("content", "coeffs")
 
@@ -689,19 +701,11 @@ class Polynomial:
 
     @classmethod
     def _make(cls, content, coeffs):
+        """The view content * coeffs, for a Fraction and a primitive vector."""
         p = object.__new__(cls)
-        if not coeffs:
-            p.content = Fraction(0)
-            p.coeffs = ()
-        else:
-            p.content = content if isinstance(content, Fraction) else Fraction(content)
-            p.coeffs = coeffs
+        p.content = content if coeffs else Fraction(0)
+        p.coeffs = coeffs
         return p
-
-    @classmethod
-    def constant(cls, value) -> "Polynomial":
-        v = Fraction(value)
-        return cls._make(v, (1,) if v else ())
 
     @property
     def is_zero(self) -> bool:
@@ -716,52 +720,12 @@ class Polynomial:
         """Ascending Fraction coefficients (the canonical public view)."""
         return [self.content * c for c in self.coeffs]
 
-    def __call__(self, point) -> Fraction:
-        point = Fraction(point)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * point + c
-        return self.content * acc
-
-    def __add__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        x, y = self.content, other.content
-        p, r, coeffs = _combine(x.numerator, x.denominator, self.coeffs,
-                                y.numerator, y.denominator, other.coeffs)
-        return Polynomial._make(Fraction(p, r), coeffs)
-
-    def __neg__(self):
-        if self.is_zero:
-            return self
-        return Polynomial._make(-self.content, self.coeffs)
-
-    def __sub__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return P_ZERO
-        return Polynomial._make(
-            self.content * other.content, _mul_int(self.coeffs, other.coeffs)
-        )
+        return Polynomial._make(self.content * other.content, _mul_int(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative polynomial power")
-        return Polynomial._make(self.content ** e, _pow_int(self.coeffs, e))
 
     def __floordiv__(self, other):
         """Exact division; raises ValueError when the remainder is nonzero."""
@@ -769,8 +733,6 @@ class Polynomial:
             return NotImplemented
         if other.is_zero:
             raise DivisionByZero("polynomial division by zero")
-        if self.is_zero:
-            return P_ZERO
         quot = _try_div_exact(self.coeffs, other.coeffs)
         if quot is None:
             raise ValueError("inexact polynomial division")
@@ -785,22 +747,16 @@ class Polynomial:
         return Polynomial._make(Fraction(1), _gcd_cofactors(self.coeffs, other.coeffs)[0])
 
     def __eq__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self.content == other.content and self.coeffs == other.coeffs
+        return _coerce(self).__eq__(other)
 
     def __hash__(self):
-        return hash((self.content, self.coeffs))
+        return hash(_coerce(self))
 
     def __str__(self):
         return _render_poly(self.content.numerator, self.content.denominator, self.coeffs)
 
     def __repr__(self):
         return f"Polynomial({self.coefficients!r})"
-
-
-P_ZERO = Polynomial._make(Fraction(0), ())
-P_ONE = Polynomial._make(Fraction(1), (1,))
 
 
 def _sum_of_products(terms, packed, once=None):
@@ -835,14 +791,6 @@ def _sum_of_products(terms, packed, once=None):
     return _trim(_ks2(terms, (bound + len(terms).bit_length() + 8) // 8, length, pair))
 
 
-def _as_poly(v) -> Polynomial:
-    if isinstance(v, Polynomial):
-        return v
-    if isinstance(v, (int, Fraction)):
-        return Polynomial.constant(v)
-    raise TypeError(f"cannot interpret {v!r} as a polynomial")
-
-
 # ---------------------------------------------------------------------------
 # the fraction field Q(q)
 # ---------------------------------------------------------------------------
@@ -870,17 +818,12 @@ class FieldElem:
 
     __slots__ = ("p", "r", "n", "d")
 
-    def __init__(self, num, den=None):
-        num = _as_poly(num)
-        den = P_ONE if den is None else _as_poly(den)
-        if den.is_zero:
+    def __init__(self, num, den=1):
+        den = as_field(den)
+        if not den.n:
             raise DivisionByZero("zero denominator in field element")
-        if num.is_zero:
-            self.p, self.r, self.n, self.d = 0, 1, (), (1,)
-            return
-        _, self.n, self.d = _gcd_cofactors(num.coeffs, den.coeffs)
-        c = num.content / den.content
-        self.p, self.r = c.numerator, c.denominator
+        x = as_field(num) / den
+        self.p, self.r, self.n, self.d = x.p, x.r, x.n, x.d
 
     @classmethod
     def _raw(cls, p, r, n, d):
@@ -892,7 +835,7 @@ class FieldElem:
     def _ratio(cls, f, g):
         """f / g for integer vectors f and g, g nonzero."""
         (n, p), (d, r) = _primitive(f), _primitive(g)
-        return cls(Polynomial._make(Fraction(p, r), n), Polynomial._make(1, d))
+        return cls._raw(p, 1, n, (1,)) / cls._raw(r, 1, d, (1,))
 
     @property
     def num(self) -> Polynomial:
@@ -1049,7 +992,9 @@ def _coerce(v):
     if isinstance(v, (int, Fraction)):
         return FieldElem._raw(v.numerator, v.denominator, (1,), (1,)) if v else F_ZERO
     if isinstance(v, Polynomial):
-        return FieldElem(v)
+        # the view's vector is primitive, so this form is canonical
+        c = v.content
+        return FieldElem._raw(c.numerator, c.denominator, v.coeffs, (1,))
     return None
 
 
@@ -1208,7 +1153,7 @@ class _Parser:
             self._skip()
             start = self.pos
             e = self.signed_int()
-            degree = max(value.num.degree, value.den.degree, 1)
+            degree = max(len(value.n), len(value.d), 2) - 1
             if abs(e) * degree > self.MAX_POWER_DEGREE:
                 self.pos = start
                 self.fail(f"power too large: |exponent| x max(1, degree of base) "

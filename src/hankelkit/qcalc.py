@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache, partial, update_wrapper
 
 from .errors import UnsupportedNegativeUpper
-from .field import F_ONE, F_ZERO, FieldElem, Polynomial, as_field, q
+from .field import F_ONE, F_ZERO, FieldElem, as_field, q
 
 # one ``verify all`` fills 15, 51 and 70 entries of q_int, q_binomial and
 # gauss_binomial, and 21, 94 and 121 at n <= 7, m <= 4; it makes 111 rows of
@@ -85,7 +85,7 @@ def q_int(n: int) -> FieldElem:
         raise ValueError("q_int wants a nonnegative index")
     if n == 0:
         return F_ZERO
-    return FieldElem(Polynomial([1] * n))
+    return FieldElem._raw(1, 1, (1,) * n, (1,))
 
 
 @partial(_RunningProduct, what="index")

@@ -704,26 +704,23 @@ def run_suite(spec: SuiteSpec) -> SuiteReport:
 # ---------------------------------------------------------------------------
 
 
-def _record_dicts(report: SuiteReport, include_timings: bool):
+def _record_dicts(report: SuiteReport):
     names = [f.name for f in fields(CaseRecord)]
     for r in report.records:
-        row = {name: getattr(r, name) for name in names}
-        if not include_timings:
-            row["wall_ms"] = 0.0
-        yield row
+        yield {name: getattr(r, name) for name in names}
 
 
-def report_to_json(report: SuiteReport, include_timings: bool = True) -> str:
+def report_to_json(report: SuiteReport) -> str:
     payload = {
         "suite": report.suite,
         "spec": report.spec,
         "summary": report.counts,
-        "records": list(_record_dicts(report, include_timings)),
+        "records": list(_record_dicts(report)),
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def report_to_csv(report: SuiteReport, include_timings: bool = True) -> str:
+def report_to_csv(report: SuiteReport) -> str:
     import csv
     import io
 
@@ -731,7 +728,7 @@ def report_to_csv(report: SuiteReport, include_timings: bool = True) -> str:
     writer = csv.writer(buf)
     writer.writerow(["engine", "seed"] + [f.name for f in fields(CaseRecord)])
     run = [report.spec["engine"], report.spec["seed"]]
-    writer.writerows(run + list(row.values()) for row in _record_dicts(report, include_timings))
+    writer.writerows(run + list(row.values()) for row in _record_dicts(report))
     return buf.getvalue()
 
 

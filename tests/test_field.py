@@ -97,6 +97,9 @@ class TestFieldArith:
         assert hash(as_field(Fraction(-3, 4))) == hash(Fraction(-3, 4))
         assert as_field(5) == 5
         assert {Fraction(1, 2): "half"}[as_field(Fraction(1, 2))] == "half"
+        # a Polynomial view compares and hashes as the element it denotes
+        assert len({Polynomial([0, 1]), q}) == 1
+        assert Polynomial([3]) == 3 and hash(Polynomial([3])) == hash(3)
 
     @pytest.mark.parametrize("text", ["-5/6", "(-3/4*q - 1) / (q + 2)", "-7/2*q^2 + 1"])
     def test_negative_content_keeps_positive_denominator(self, text):
@@ -216,14 +219,23 @@ def test_power_is_repeated_multiplication(x):
             expected = expected * factor
         assert x ** e == expected
         if e >= 0:
-            assert x.num ** e == expected.num
-            assert x.den ** e == expected.den
+            assert as_field(x.num) ** e == expected.num
+            assert as_field(x.den) ** e == expected.den
 
 
 @settings(max_examples=80, deadline=None)
 @given(field_elems())
 def test_canonical_idempotence(x):
     assert FieldElem(x.num, x.den) == x
+    # field elements are arguments too, and the quotient is reduced
+    assert FieldElem(x) == x and FieldElem(x * (1 + q), 1 + q) == x
+    for zero in (F_ZERO, Polynomial([0]), 0):
+        with pytest.raises(DivisionByZero, match="zero denominator in field element"):
+            FieldElem(x, zero)
+    with pytest.raises(TypeError):
+        FieldElem(str(x))
+    with pytest.raises(TypeError):
+        FieldElem(x, "1")
 
 
 @settings(max_examples=80, deadline=None)
@@ -331,6 +343,14 @@ def test_canonical_form_matches_sympy(x, y):
         assert result.den.coefficients == [c * scale for c in den]
 
 
+def _horner(p: Polynomial, point: Fraction) -> Fraction:
+    """p(point) by Horner's rule on the public coefficients."""
+    acc = Fraction(0)
+    for c in reversed(p.coefficients):
+        acc = acc * point + c
+    return acc
+
+
 @settings(max_examples=80, deadline=None)
 @given(field_elems(), field_elems(), st.fractions(min_value=-3, max_value=3, max_denominator=4))
 def test_specialize_is_ring_homomorphism(x, y, point):
@@ -339,7 +359,7 @@ def test_specialize_is_ring_homomorphism(x, y, point):
         vx = x.specialize(point)
         vy = y.specialize(point)
     except PoleAtPoint:
-        assert 0 in (x.den(point), y.den(point))
+        assert 0 in (_horner(x.den, point), _horner(y.den, point))
         return
     assert lhs == vx * vy
-    assert vx == x.num(point) / x.den(point)
+    assert vx == _horner(x.num, point) / _horner(x.den, point)

@@ -116,7 +116,9 @@ def test_gcd_large_degree_gap():
 def test_gcd_coprime_large():
     rng = random.Random(13)
     a = random_poly(rng, 50)
-    b = random_poly(rng, 50) + Polynomial([1])
+    coeffs = random_poly(rng, 50).coefficients
+    coeffs[0] += 1
+    b = Polynomial(coeffs)
     g = a.gcd(b)
     oracle = monic_euclid_gcd(a.coefficients, b.coefficients)
     assert normalized(g) == oracle
@@ -871,16 +873,30 @@ def elem_pairs(draw):
     x = FieldElem(poly(draw(st.integers(1, 30))), poly(draw(st.integers(1, 25))) * shared)
     y = FieldElem(poly(draw(st.integers(1, 30))), poly(draw(st.integers(1, 25))) * shared)
     if draw(st.booleans()):
-        w = y
-        y = FieldElem(w.num * x.den - x.num * w.den, w.den * x.den)
+        y = cross_sum(y, x, -1)
     return x, y
+
+
+def cross_sum(x, y, sign=1):
+    """x + sign y as (a d + sign c b) / (b d), for x = a / b and y = c / d,
+    formed on coefficient lists by schoolbook_mul and reduced by the
+    constructor, not by FieldElem addition."""
+    a, b = x.num.coefficients, x.den.coefficients
+    c, d = y.num.coefficients, y.den.coefficients
+    ad, cb = schoolbook_mul(a, d), schoolbook_mul(c, b)
+    num = [0] * max(len(ad), len(cb))
+    for i, v in enumerate(ad):
+        num[i] += v
+    for i, v in enumerate(cb):
+        num[i] += sign * v
+    return FieldElem(Polynomial(num), Polynomial(schoolbook_mul(b, d)))
 
 
 @settings(max_examples=60, deadline=None)
 @given(elem_pairs())
 def test_henrici_addition_matches_reduced_sum(pair):
     x, y = pair
-    expected = FieldElem(x.num * y.den + y.num * x.den, x.den * y.den)
+    expected = cross_sum(x, y)
     for total in (x + y, y + x):
         assert total.num == expected.num and total.den == expected.den
     assert x - x == 0 and (x + (-x)).den == Polynomial([1])
