@@ -284,7 +284,20 @@ def cmd_jacobi(args) -> int:
     return 0
 
 
+def _write_report(path, text):
+    """Write text to path; an OSError is a usage error (exit 2)."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def cmd_verify(args) -> int:
+    if args.out:
+        # a path that cannot be opened for writing ends the command before any
+        # case runs; a device that refuses the write itself fails at the end
+        _write_report(args.out, "")
     spec = SuiteSpec(
         suite=args.suite,
         n_max=args.n_max,
@@ -300,8 +313,7 @@ def cmd_verify(args) -> int:
     else:
         text = report_to_text(report)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_report(args.out, text)
         _emit(f"report written to {args.out}")
         _emit(report.summary())
     else:

@@ -6,13 +6,13 @@ degree, trailing coefficient nonzero, positive leading entry, gcd 1).  A
 FieldElem is p n / (r d): two coprime ints p and r > 0 and two coprime
 primitive vectors n and d, so by Gauss's lemma each element of Q(q) has
 exactly one such form (Knuth, TAOCP vol. 2, 4.6.1).  FieldElem is the
-package's only arithmetic type.  A Polynomial is the read-only view that
-``num`` and ``den`` return, a ``Fraction`` content times one primitive
-vector; it compares and hashes as the field element it denotes, and its
-only arithmetic is the product, the exact quotient and the gcd that the
-benchmark's kernel rows time.  Products of primitive vectors stay primitive,
-so the hot paths (convolution, exact division, gcd, rendering) run on
-plain Python ints.
+package's only arithmetic type.  A Polynomial, as ``num`` and ``den``
+return it, is the FieldElem with d = (1,): a subclass with no slots of its
+own, whose arithmetic, equality and rendering are FieldElem's, except that
+the product, the exact quotient and the gcd of two Polynomials, which the
+benchmark's kernel rows time, stay Polynomials.  Products of primitive
+vectors stay primitive, so the hot paths (convolution, exact division, gcd,
+rendering) run on plain Python ints.
 
 Long vectors are multiplied by Kronecker substitution (Harvey, JSC 2009):
 a vector is packed into one int as its value at a power of 2, the ints are
@@ -603,10 +603,10 @@ def _quotient_2adic(f, g, low, n):
 
 def _try_div_exact(f, g):
     """Quotient of f by g when the division is exact over Z, else None."""
-    if not f:
-        return ()
     if not g:
         raise DivisionByZero("polynomial division by zero")
+    if not f:
+        return ()
     if len(f) < len(g) or f[-1] % g[-1]:
         return None
     n = len(f) - len(g) + 1
@@ -683,80 +683,14 @@ def _combine(xp, xr, a, yp, yr, b):
     return g * cont // h, lcm // h, prim
 
 
-class Polynomial:
-    """A polynomial over Q in the indeterminate q: the read-only view that
-    ``FieldElem.num`` and ``FieldElem.den`` return, a ``Fraction`` content
-    times one primitive vector.  It compares and hashes as the field element
-    it denotes.  Its arithmetic is only ``*``, exact ``//`` and ``gcd``, the
-    kernel entry points that the benchmark times; every other operation
-    runs on FieldElem."""
-
-    __slots__ = ("content", "coeffs")
-
-    def __init__(self, values=()):
-        vals = [Fraction(v) for v in values]
-        den_lcm = math.lcm(*(v.denominator for v in vals))
-        self.coeffs, cont = _primitive([v.numerator * (den_lcm // v.denominator) for v in vals])
-        self.content = Fraction(cont, den_lcm)
-
-    @classmethod
-    def _make(cls, content, coeffs):
-        """The view content * coeffs, for a Fraction and a primitive vector."""
-        p = object.__new__(cls)
-        p.content = content if coeffs else Fraction(0)
-        p.coeffs = coeffs
-        return p
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def coefficients(self):
-        """Ascending Fraction coefficients (the canonical public view)."""
-        return [self.content * c for c in self.coeffs]
-
-    def __mul__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return Polynomial._make(self.content * other.content, _mul_int(self.coeffs, other.coeffs))
-
-    __rmul__ = __mul__
-
-    def __floordiv__(self, other):
-        """Exact division; raises ValueError when the remainder is nonzero."""
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        if other.is_zero:
-            raise DivisionByZero("polynomial division by zero")
-        quot = _try_div_exact(self.coeffs, other.coeffs)
-        if quot is None:
-            raise ValueError("inexact polynomial division")
-        return Polynomial._make(self.content / other.content, quot)
-
-    def gcd(self, other: "Polynomial") -> "Polynomial":
-        """Primitive gcd with positive leading coefficient (content 1)."""
-        if self.is_zero:
-            return Polynomial._make(Fraction(1), other.coeffs)
-        if other.is_zero:
-            return Polynomial._make(Fraction(1), self.coeffs)
-        return Polynomial._make(Fraction(1), _gcd_cofactors(self.coeffs, other.coeffs)[0])
-
-    def __eq__(self, other):
-        return _coerce(self).__eq__(other)
-
-    def __hash__(self):
-        return hash(_coerce(self))
-
-    def __str__(self):
-        return _render_poly(self.content.numerator, self.content.denominator, self.coeffs)
-
-    def __repr__(self):
-        return f"Polynomial({self.coefficients!r})"
+def _times(p1, r1, p2, r2):
+    """p1/r1 times p2/r2, both in lowest terms with r1, r2 > 0, as (p, r) in
+    lowest terms."""
+    if r1 != 1 or r2 != 1:
+        # each content is in lowest terms, so only the cross pairs can cancel
+        g1, g2 = math.gcd(p1, r2), math.gcd(p2, r1)
+        p1, r1, p2, r2 = p1 // g1, r1 // g2, p2 // g2, r2 // g1
+    return p1 * p2, r1 * r2
 
 
 def _sum_of_products(terms, packed, once=None):
@@ -809,8 +743,8 @@ class FieldElem:
 
     ``p`` and ``r`` are coprime ints with r > 0; ``n`` and ``d`` are
     coprime primitive vectors.  Zero is (0, 1, (), (1,)).  ``num`` and
-    ``den`` are the Polynomial views p/r n and d, whose content stays a
-    ``Fraction``.  Equality and hashing compare the four slots.  Every
+    ``den`` are p/r n and d as Polynomials, the subclass whose elements have
+    d = (1,).  Equality and hashing compare the four slots.  Every
     element is kept reduced: ``__init__`` reduces, and each ``_raw`` site
     builds a form that is coprime by construction.  Addition relies on this
     invariant to reduce against gcd(b, d) only.
@@ -839,11 +773,11 @@ class FieldElem:
 
     @property
     def num(self) -> Polynomial:
-        return Polynomial._make(Fraction(self.p, self.r), self.n)
+        return Polynomial._raw(self.p, self.r, self.n, (1,))
 
     @property
     def den(self) -> Polynomial:
-        return Polynomial._make(Fraction(1), self.d)
+        return Polynomial._raw(1, 1, self.d, (1,))
 
     @property
     def is_zero(self) -> bool:
@@ -914,12 +848,8 @@ class FieldElem:
             return F_ZERO
         _, n1, d2 = _gcd_cofactors(self.n, other.d)
         _, n2, d1 = _gcd_cofactors(other.n, self.d)
-        p1, r1, p2, r2 = self.p, self.r, other.p, other.r
-        if r1 != 1 or r2 != 1:
-            # each content is in lowest terms, so only the cross pairs can cancel
-            g1, g2 = math.gcd(p1, r2), math.gcd(p2, r1)
-            p1, r1, p2, r2 = p1 // g1, r1 // g2, p2 // g2, r2 // g1
-        return FieldElem._raw(p1 * p2, r1 * r2, _mul_int(n1, n2), _mul_int(d1, d2))
+        p, r = _times(self.p, self.r, other.p, other.r)
+        return FieldElem._raw(p, r, _mul_int(n1, n2), _mul_int(d1, d2))
 
     __rmul__ = __mul__
 
@@ -991,15 +921,11 @@ def _coerce(v):
         return v
     if isinstance(v, (int, Fraction)):
         return FieldElem._raw(v.numerator, v.denominator, (1,), (1,)) if v else F_ZERO
-    if isinstance(v, Polynomial):
-        # the view's vector is primitive, so this form is canonical
-        c = v.content
-        return FieldElem._raw(c.numerator, c.denominator, v.coeffs, (1,))
     return None
 
 
 def as_field(v) -> FieldElem:
-    """Coerce an int, Fraction, Polynomial or FieldElem into Q(q)."""
+    """Coerce an int, Fraction or FieldElem (a Polynomial is one) into Q(q)."""
     e = _coerce(v)
     if e is None:
         raise TypeError(f"cannot interpret {v!r} as a field element")
@@ -1013,6 +939,76 @@ q = FieldElem._raw(1, 1, (0, 1), (1,))
 def specialize(x: FieldElem, point) -> Fraction:
     """Evaluate the reduced rational function x at q = point."""
     return as_field(x).specialize(point)
+
+
+class Polynomial(FieldElem):
+    """A polynomial over Q in the indeterminate q: the FieldElem with
+    denominator (1,), as ``FieldElem.num`` and ``FieldElem.den`` return it.
+    Equality, hashing, rendering, ``specialize`` and ``+``, ``-``, ``/`` and
+    ``**`` are FieldElem's, and their results are FieldElems.  It adds the
+    constructor from a coefficient list, the views ``content`` (p/r as a
+    ``Fraction``), ``coeffs`` (the primitive vector n), ``degree`` and
+    ``coefficients``, and the kernel entry points that the benchmark times:
+    between two Polynomials ``*``, exact ``//`` and ``gcd`` return a
+    Polynomial, and ``*`` by any other operand is FieldElem's."""
+
+    __slots__ = ()
+
+    def __init__(self, values=()):
+        vals = [Fraction(v) for v in values]
+        lcm = math.lcm(*(v.denominator for v in vals))
+        # each prime of lcm divides some coefficient's denominator to its full
+        # power, and so not that coefficient's scaled numerator: the content
+        # is coprime to lcm
+        self.n, self.p = _primitive([v.numerator * (lcm // v.denominator) for v in vals])
+        self.r, self.d = lcm, (1,)
+
+    @property
+    def content(self) -> Fraction:
+        return Fraction(self.p, self.r)
+
+    @property
+    def coeffs(self):
+        return self.n
+
+    @property
+    def degree(self) -> int:
+        return len(self.n) - 1
+
+    @property
+    def coefficients(self):
+        """Ascending Fraction coefficients (the canonical public view)."""
+        return [Fraction(self.p * c, self.r) for c in self.n]
+
+    def __mul__(self, other):
+        if not isinstance(other, Polynomial):
+            return FieldElem.__mul__(self, other)
+        p, r = _times(self.p, self.r, other.p, other.r)
+        return Polynomial._raw(p, r, _mul_int(self.n, other.n), (1,))
+
+    __rmul__ = __mul__
+
+    def __floordiv__(self, other):
+        """Exact division; raises ValueError when the remainder is nonzero."""
+        if not isinstance(other, Polynomial):
+            return NotImplemented
+        quot = _try_div_exact(self.n, other.n)
+        if quot is None:
+            raise ValueError("inexact polynomial division")
+        sign = -1 if other.p < 0 else 1
+        p, r = _times(self.p, self.r, sign * other.r, sign * other.p)
+        return Polynomial._raw(p, r, quot, (1,))
+
+    def gcd(self, other: "Polynomial") -> "Polynomial":
+        """Primitive gcd with positive leading coefficient (content 1)."""
+        if self.n and other.n:
+            h = _gcd_cofactors(self.n, other.n)[0]
+        else:
+            h = self.n or other.n
+        return Polynomial._raw(1 if h else 0, 1, h, (1,))
+
+    def __repr__(self):
+        return f"Polynomial({self.coefficients!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -1059,10 +1055,9 @@ def render(x: FieldElem) -> str:
 
 def coeff_strings(p: Polynomial):
     """Dense ascending coefficient strings ("p" or "p/q"), for JSON output."""
-    if p.is_zero:
+    if not p.n:
         return ["0"]
-    c = p.content
-    return [_ratio_str(c.numerator, c.denominator, k) for k in p.coeffs]
+    return [_ratio_str(p.p, p.r, k) for k in p.n]
 
 
 # ---------------------------------------------------------------------------

@@ -11,27 +11,21 @@ product identity behind the Hankel factorization.
 
 from __future__ import annotations
 
+import functools
+
 from .field import F_ONE, F_ZERO, FieldElem, as_field
 
 
 def _lookup(values):
     """A table or a callable as (function of the index, table length or None).
 
-    A callable is called at most once per index: the returned function keeps
-    each value, passed through as_field, in its own dict, filled on first
-    read.  So the callable must be pure, its value a function of the index
-    alone.  A read that raises stores nothing and raises again on the next
-    read.
+    A callable is called at most once per index: the returned function
+    caches each value, passed through as_field, on first read.  So the
+    callable must be pure, its value a function of the index alone.  A read
+    that raises stores nothing and raises again on the next read.
     """
     if callable(values):
-        memo = {}
-
-        def read(k):
-            if k not in memo:
-                memo[k] = as_field(values(k))
-            return memo[k]
-
-        return read, None
+        return functools.cache(lambda k: as_field(values(k))), None
     table = [as_field(v) for v in values]
     return table.__getitem__, len(table)
 

@@ -140,35 +140,24 @@ def _walk(pairs):
 _RATIONALS = [Fraction(p, r) for p, r in _walk(permutations(range(1, 8), 2)) if gcd(p, r) == 1]
 
 
-def sample_parameters(kind: str, count: int, seed: int = 0):
-    """Deterministic (a, b, base) samples away from the q-moment poles.
+def sample_parameters(count: int, seed: int = 0):
+    """Deterministic (a, b | q) samples away from the q-moment poles.
 
-    Enumeration order is fixed: q-power triples start from the named instances
-    (q^4, q | q^2), (q^2, q | q^2) followed by (q^i, q^j | q) for distinct
-    exponents in 1..6; rational triples (a, b | q) take distinct a, b from
-    the fractions p/r above, walking both (p, r) and the index pairs of
-    (a, b) in _walk order.  The seed rotates the starting offset; only the
-    returned samples are built.
+    Enumeration order is fixed: distinct a, b from the fractions p/r above,
+    walking both (p, r) and the index pairs of (a, b) in _walk order.  The
+    seed rotates the starting offset; only the returned samples are built.
 
     No candidate needs a pole screen.  The family's weights and determinants
-    have denominators 1 - base^e a (e >= 0), and base^e a is a nonconstant
-    monomial for a = q^i, or for a constant a and e > 0, while 1 - a != 0 at
-    e = 0 since a != 1.
+    have denominators 1 - q^e a (e >= 0), and q^e a is a nonconstant
+    monomial for e > 0, while 1 - a != 0 at e = 0 since a != 1.
     """
     if count < 1:
         raise ValueError("count must be positive")
-    if kind == "q-power":
-        candidates = [(q ** 4, q, q ** 2), (q ** 2, q, q ** 2)] + [
-            (q ** i, q ** j, q) for i, j in permutations(range(1, 7), 2)
-        ]
-    elif kind == "rational":
-        candidates = [(_RATIONALS[i], _RATIONALS[j], q)
-                      for i, j in _walk(permutations(range(len(_RATIONALS)), 2))]
-    else:
-        raise ValueError(f"unknown sample kind {kind!r}")
+    candidates = [(_RATIONALS[i], _RATIONALS[j], q)
+                  for i, j in _walk(permutations(range(len(_RATIONALS)), 2))]
     if count > len(candidates):
         raise InsufficientSamples(
-            f"only {len(candidates)} pole-free {kind} samples available, wanted {count}"
+            f"only {len(candidates)} pole-free rational samples available, wanted {count}"
         )
     return [QParams(*candidates[(seed + k) % len(candidates)]) for k in range(count)]
 
@@ -183,14 +172,14 @@ def thm2_sample_set(seed: int = 0):
         QParams(q, q ** 3, q),
         QParams(q, q ** 4, q),
     ]
-    return named + sample_parameters("rational", 2, seed=seed)
+    return named + sample_parameters(2, seed=seed)
 
 
 def thm1_sample_set(seed: int = 0):
     """Residual-grid samples: the named (a, b) pairs and two rational
     pairs, each under both bases q and q^2."""
     pairs = [(q ** 4, q), (q ** 2, q), (q, q ** 2), (q, q ** 3), (q, q ** 4)]
-    pairs.extend((p.a, p.b) for p in sample_parameters("rational", 2, seed=seed))
+    pairs.extend((p.a, p.b) for p in sample_parameters(2, seed=seed))
     return [QParams(a, b, base) for base in (q, q * q) for a, b in pairs]
 
 

@@ -5,6 +5,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 import time
 
 import pytest
@@ -329,6 +330,26 @@ class TestVerifyCommand:
         assert payload["suite"] == "tables"
         assert payload["summary"]["failed"] == 0
         assert f"report written to {target}" in out
+
+    @pytest.mark.parametrize("target", ["missing/report.json", "."])
+    def test_unwritable_report_path_exits_2_before_any_case(self, capsys, tmp_path,
+                                                           monkeypatch, target):
+        # a missing directory, or a directory in place of a file
+        def no_cases(spec):
+            raise AssertionError("a case ran")
+
+        monkeypatch.setattr(cli, "run_suite", no_cases)
+        path = tmp_path / target
+        code, out, err = run_cli(capsys, "verify", "tables", "--out", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_refused_write_exits_2(self, capsys):
+        # /dev/full opens, and refuses only the write itself
+        code, _, err = run_cli(capsys, "verify", "tables", "--out", "/dev/full")
+        assert code == 2
+        assert err == "error: cannot write /dev/full: No space left on device\n"
 
     def test_csv_report(self, capsys):
         code, out, _ = run_cli(

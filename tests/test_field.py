@@ -61,6 +61,107 @@ class TestPolynomial:
             Polynomial([1, 1, 1]) // b
 
 
+polynomials = st.lists(rationals, min_size=0, max_size=5).map(Polynomial)
+
+
+def plain(p: Polynomial) -> FieldElem:
+    """The same element as a FieldElem that is not a Polynomial."""
+    x = FieldElem(p)
+    assert type(x) is FieldElem
+    return x
+
+
+class TestPolynomialIsFieldElem:
+    def test_subclass_without_slots(self):
+        assert issubclass(Polynomial, FieldElem)
+        assert Polynomial.__slots__ == ()
+
+    @settings(max_examples=60, deadline=None)
+    @given(field_elems())
+    def test_num_and_den_are_field_elems(self, x):
+        for p in (x.num, x.den):
+            assert isinstance(p, FieldElem) and p.d == (1,)
+        assert (x.num.p, x.num.r, x.num.n) == (x.p, x.r, x.n)
+        assert (x.den.p, x.den.r, x.den.n) == (1, 1, x.d)
+        assert x.num / x.den == x
+
+    @settings(max_examples=80, deadline=None)
+    @given(polynomials, polynomials, st.integers(-3, 4),
+           st.fractions(min_value=-3, max_value=3, max_denominator=4))
+    def test_inherited_operations_match_field_elem(self, p, r, e, point):
+        fp, fr = plain(p), plain(r)
+        assert p + r == fp + fr and p - r == fp - fr
+        # independent route: coefficientwise sum of the public coefficients
+        width = max(len(p.coefficients), len(r.coefficients))
+        padded = [c + [0] * (width - len(c)) for c in (p.coefficients, r.coefficients)]
+        assert p + r == Polynomial([a + b for a, b in zip(*padded)])
+        if r:
+            assert p / r == fp / fr
+        if p or e >= 0:
+            assert p ** e == fp ** e
+        assert p.specialize(point) == fp.specialize(point)
+        assert hash(p) == hash(fp) and str(p) == str(fp)
+
+    @settings(max_examples=60, deadline=None)
+    @given(polynomials, field_elems())
+    def test_mixed_products_are_field_products(self, p, x):
+        expected = plain(p) * x
+        # x * p tries Polynomial.__rmul__ first, since Polynomial subclasses FieldElem
+        for product in (x * p, p * x):
+            assert product == expected and type(product) is FieldElem
+        fp = plain(p)
+        for product, expected in ((p * 3, fp * 3), (3 * p, fp * 3),
+                                  (p * Fraction(-2, 3), fp * Fraction(-2, 3))):
+            assert product == expected and type(product) is FieldElem
+
+    @settings(max_examples=60, deadline=None)
+    @given(polynomials, polynomials)
+    def test_kernel_operations_stay_polynomials(self, p, r):
+        product = p * r
+        assert type(product) is Polynomial and product == plain(p) * plain(r)
+        if r:
+            quot = product // r
+            assert type(quot) is Polynomial and quot == p
+        g = p.gcd(r)
+        assert type(g) is Polynomial and g.content == (1 if p or r else 0)
+
+    # content and coeffs as the Polynomial with a Fraction content returned them
+    A = Polynomial([Fraction(1, 2), Fraction(-3, 4), 1])
+    B = Polynomial([-2, Fraction(-4, 3)])
+    Z = Polynomial([])
+    KERNEL_RESULTS = {
+        "a * b": (lambda a, b, z: a * b, Fraction(-1, 6), (6, -5, 6, 8)),
+        "b * a": (lambda a, b, z: b * a, Fraction(-1, 6), (6, -5, 6, 8)),
+        "a b // b": (lambda a, b, z: (a * b) // b, Fraction(1, 4), (2, -3, 4)),
+        "a b // a": (lambda a, b, z: (a * b) // a, Fraction(-2, 3), (3, 2)),
+        "a b b // b b": (lambda a, b, z: (a * b * b) // (b * b), Fraction(1, 4), (2, -3, 4)),
+        "0 * a": (lambda a, b, z: z * a, 0, ()),
+        "a * 0": (lambda a, b, z: a * z, 0, ()),
+        "0 // b": (lambda a, b, z: z // b, 0, ()),
+        "gcd(a, b)": (lambda a, b, z: a.gcd(b), 1, (1,)),
+        "gcd(a b, b b)": (lambda a, b, z: (a * b).gcd(b * b), 1, (3, 2)),
+        "gcd(0, b)": (lambda a, b, z: z.gcd(b), 1, (3, 2)),
+        "gcd(a, 0)": (lambda a, b, z: a.gcd(z), 1, (2, -3, 4)),
+        "gcd(0, 0)": (lambda a, b, z: z.gcd(z), 0, ()),
+    }
+
+    @pytest.mark.parametrize("name", list(KERNEL_RESULTS))
+    def test_kernel_results_pinned(self, name):
+        result, content, coeffs = self.KERNEL_RESULTS[name]
+        got = result(self.A, self.B, self.Z)
+        assert type(got) is Polynomial
+        assert got.content == content and got.coeffs == coeffs
+        assert got.d == (1,) and got.r > 0 and math.gcd(got.p, got.r) == 1
+
+    def test_kernel_division_errors(self):
+        assert self.B.content < 0
+        with pytest.raises(ValueError, match="inexact polynomial division"):
+            self.A // self.B
+        for dividend in (self.A, self.Z):
+            with pytest.raises(DivisionByZero):
+                dividend // self.Z
+
+
 class TestFieldArith:
     def test_telescoping_ratio_canonicalizes(self):
         x = (1 - q ** 2) / (1 - q)

@@ -31,32 +31,26 @@ from hankelkit.verify import (
     report_to_text,
     run_suite,
     sample_parameters,
+    thm1_sample_set,
+    thm2_sample_set,
 )
 
 
 class TestSampleParameters:
-    def test_first_q_power_sample(self):
-        samples = sample_parameters("q-power", 1, seed=0)
-        assert samples[0].a == q ** 4
-        assert samples[0].b == q
-        assert samples[0].base == q * q
-
     def test_screening_rejects_unit_a(self):
         # a = 1 zeroes (a; base)_1 and is never a candidate
-        for p in sample_parameters("q-power", 30, seed=0):
-            assert not (p.a - 1).is_zero
-        for p in sample_parameters("rational", 30, seed=0):
+        for p in sample_parameters(1122, seed=0):
             assert not (p.a - 1).is_zero
 
     def test_rational_samples_distinct_and_deterministic(self):
-        first = sample_parameters("rational", 3, seed=1)
-        second = sample_parameters("rational", 3, seed=1)
+        first = sample_parameters(3, seed=1)
+        second = sample_parameters(3, seed=1)
         assert [(str(p)) for p in first] == [(str(p)) for p in second]
         assert len({(p.a, p.b) for p in first}) == 3
 
     def test_seed_rotates(self):
-        base = sample_parameters("q-power", 2, seed=0)
-        shifted = sample_parameters("q-power", 1, seed=1)
+        base = sample_parameters(2, seed=0)
+        shifted = sample_parameters(1, seed=1)
         assert shifted[0] == base[1]
 
     @pytest.mark.parametrize("seed, expected", [
@@ -68,37 +62,34 @@ class TestSampleParameters:
     ])
     def test_rational_enumeration_pinned(self, seed, expected):
         # the rotation wraps at 1122 candidates
-        got = sample_parameters("rational", 3, seed=seed)
+        got = sample_parameters(3, seed=seed)
         assert [(str(p.a), str(p.b)) for p in got] == expected
         assert all(p.base == q for p in got)
         with pytest.raises(InsufficientSamples, match="only 1122 "):
-            sample_parameters("rational", 1123, seed=seed)
+            sample_parameters(1123, seed=seed)
 
-    @pytest.mark.parametrize("kind, total", [("q-power", 32), ("rational", 1122)])
+    @pytest.mark.parametrize("kind, total", [("q-power", 10), ("rational", 1122)])
     def test_every_candidate_is_pole_free(self, kind, total):
         # the q-moment weights and determinants have denominators 1 - base^e a;
-        # check e up to 2 n_max + m_max + 2 at the CLI caps
+        # check e up to 2 n_max + m_max + 2 at the CLI caps.  The q-power points
+        # are the named ones of both sample sets.
         bound = 2 * SIZE_LIMITS["n_max"] + SIZE_LIMITS["m_max"] + 2
-        for p in sample_parameters(kind, total):
+        if kind == "rational":
+            points = sample_parameters(total)
+        else:
+            named = {str(p): p for p in thm2_sample_set() + thm1_sample_set()
+                     if not p.a.is_constant}
+            points = list(named.values())
+        assert len(points) == total
+        for p in points:
             power = F_ONE
             for e in range(bound + 1):
                 assert not (F_ONE - power * p.a).is_zero, (str(p), e)
                 power = power * p.base
 
-    def test_q_power_enumeration_pinned(self):
-        got = sample_parameters("q-power", 32, seed=0)
-        assert [(str(p.a), str(p.b), str(p.base)) for p in got[-3:]] == [
-            ("q^6", "q^3", "q"), ("q^6", "q^4", "q"), ("q^6", "q^5", "q"),
-        ]
-        assert sample_parameters("q-power", 1, seed=32) == got[:1]
-
     def test_insufficient(self):
         with pytest.raises(InsufficientSamples):
-            sample_parameters("q-power", 10 ** 6, seed=0)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            sample_parameters("complex", 1, seed=0)
+            sample_parameters(10 ** 6, seed=0)
 
 
 class TestRunSuite:
