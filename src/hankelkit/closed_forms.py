@@ -85,28 +85,40 @@ def qmoment_A(row: int, col: int, p: QParams) -> FieldElem:
     return binom * qmoment_c(n - k, base ** (2 * k + 1) * a, base ** (k + 1) * b, base)
 
 
+def qmoment_det_factor(k: int, p: QParams) -> FieldElem:
+    """The k-th factor d(k + 1, 0) / d(k, 0) of the unshifted q-moment
+    determinant, k >= 1; base^(k(k-1)) sums to base^(2 C(n, 3)) over k < n."""
+    a, b, base = p.a, p.b, p.base
+    num = base ** (k * (k - 1)) * q_pochhammer(b, base, k) * q_pochhammer(base, base, k)
+    for j in range(k):
+        num = num * (b - base ** j * a)
+    den = q_pochhammer(base ** (k - 1) * a, base, k) * q_pochhammer(a, base, 2 * k)
+    return _div(num, den)
+
+
+def qmoment_det_shift(n: int, m: int, p: QParams) -> FieldElem:
+    """The shift part d(n, m) / d(n, 0) of the q-moment determinant."""
+    a, b, base = p.a, p.b, p.base
+    result = base ** (m * comb(n, 2))
+    for j in range(m):
+        result = result * _div(
+            q_pochhammer(base ** j * b, base, n),
+            q_pochhammer(base ** (n - 1 + j) * a, base, n),
+        )
+    return result
+
+
 def qmoment_det(n: int, m: int, p: QParams) -> FieldElem:
-    """Product formula for det(c(i+j+m))_{n x n} of the q-moment family."""
+    """Product formula for det(c(i+j+m))_{n x n} of the q-moment family:
+    the factors k = 1, ..., n - 1 of d(n, 0), then the shift part."""
     if n < 1:
         raise ValueError("n must be positive")
     if m < 0:
         raise ValueError("m must be nonnegative")
-    a, b, base = p.a, p.b, p.base
-    result = base ** (2 * comb(n, 3))
+    result = F_ONE
     for k in range(1, n):
-        num = q_pochhammer(b, base, k) * q_pochhammer(base, base, k)
-        for j in range(k):
-            num = num * (b - base ** j * a)
-        den = q_pochhammer(base ** (k - 1) * a, base, k) * q_pochhammer(a, base, 2 * k)
-        result = result * _div(num, den)
-    if m:
-        result = result * base ** (m * comb(n, 2))
-        for j in range(m):
-            result = result * _div(
-                q_pochhammer(base ** j * b, base, n),
-                q_pochhammer(base ** (n - 1 + j) * a, base, n),
-            )
-    return result
+        result = result * qmoment_det_factor(k, p)
+    return result * qmoment_det_shift(n, m, p)
 
 
 # ---------------------------------------------------------------------------

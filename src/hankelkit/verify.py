@@ -5,6 +5,13 @@ records come back in spec order, and a failing case never stops the rest of
 the suite.  The reciprocal-bracket formula is carried as a set of
 expected-failure cases: the report documents the mismatch instead of hiding
 it, and an expected failure that unexpectedly holds is flagged as an anomaly.
+
+One run computes each exact result its suites share once.  ``build_cases``
+makes one table for the run (``_RunTable``) and hands it to every suite
+builder; it holds the eliminations, keyed by (engine, matrix entries), the
+closed forms, keyed by (tag, n, m, x), and the q-moment determinant's
+running product per parameter point.  The first case in the run to read a
+value pays for it in its ``wall_ms``; a read that raises stores nothing.
 """
 
 from __future__ import annotations
@@ -26,7 +33,8 @@ from .closed_forms import (
     closed_form,
     oracle_matrix,
     qmoment_A,
-    qmoment_det,
+    qmoment_det_factor,
+    qmoment_det_shift,
     qmoment_T,
 )
 from .errors import HankelkitError, InsufficientSamples
@@ -237,18 +245,72 @@ def _const(value):
     return lambda n, m: value
 
 
+class _RunTable:
+    """The exact results that every suite of one ``verify`` run shares.
+
+    ``build_cases`` makes one table and hands it to each suite builder; the
+    cases' closures hold it, so it lives as long as the case list.  It
+    shares three things, each under a key that fixes the value:
+
+    - eliminations, under (engine, entries of the matrix eliminated), so two
+      grids share one only when their matrices are equal entry for entry;
+    - closed forms, under (tag, n, m, x);
+    - the prefix products d(1, 0), d(2, 0), ... of the q-moment
+      determinant, under the parameter point.
+
+    Values are computed on first read, so the first case in the run to read
+    one pays for it in its ``wall_ms``.  A read that raises stores nothing.
+    """
+
+    def __init__(self):
+        self.eliminations = {}  # (engine, entries) -> (minors so far, the elimination)
+        self.closed = {}        # (tag, n, m, x) -> closed_form(tag, n, m, x)
+        self.qmoment = {}       # p -> [d(1, 0), d(2, 0), ...]
+
+    def elimination(self, M, engine):
+        """The shared ([d(1), ...] so far, ``leading_minors`` of M)."""
+        key = engine, M.entries
+        shared = self.eliminations.get(key)
+        if shared is None:
+            shared = self.eliminations[key] = ([], leading_minors(M, engine))
+        return shared
+
+    def closed_form(self, tag, n, m=0, x=None):
+        """closed_form(tag, n, m, x), evaluated once per run."""
+        key = tag, n, m, x
+        value = self.closed.get(key)
+        if value is None:
+            value = self.closed[key] = closed_form(tag, n, m, x)
+        return value
+
+    def qmoment_det(self, n, m, p):
+        """qmoment_det(n, m, p): d(n, 0) from the point's prefix products,
+        times the shift part.  The factors of d(n, 0) contain those of every
+        smaller order, so a pole raises at the same factor as the direct
+        call."""
+        dets = self.qmoment.setdefault(p, [F_ONE])
+        while len(dets) < n:
+            dets.append(dets[-1] * qmoment_det_factor(len(dets), p))
+        return dets[n - 1] * qmoment_det_shift(n, m, p)
+
+
 class _Minors:
     """The oracle d(n, m) = det build(n, m) for n <= n_max, as a function of
     the grid point: one ``leading_minors`` elimination of build(n_max, m) per
-    shift m.  The first read at m builds that matrix, and a read at order n
-    advances the elimination only to its n-th pivot, so a case's time covers
-    the steps up to its own pivot.  If the build raises (a term with a
-    pole), each order builds its own matrix: only the orders that read the
-    failing term fail, each with the error it raises alone."""
+    shift m, looked up in the run table under (engine, entries of that
+    matrix).  So grids share an elimination only when their matrices are
+    equal, and none reads one larger than its own.  The first read at m
+    builds the matrix, and a read at order n advances the elimination only
+    to its n-th pivot, so the first case in the run to read a minor pays
+    for the steps up to it in its ``wall_ms``.  If the build raises (a term
+    with a pole), each order builds its own matrix: only the orders that
+    read the failing term fail, each with the error it raises alone.
+    Without a run table it shares with no other grid."""
 
-    def __init__(self, build, n_max, engine):
+    def __init__(self, build, n_max, engine, run=None):
         self.build, self.n_max, self.engine = build, n_max, engine
-        self.tables = {}  # m -> (minors so far, the elimination), or () per order
+        self.run = run or _RunTable()
+        self.tables = {}  # m -> the shared (minors so far, the elimination), or () per order
 
     def __call__(self, n, m):
         table = self.tables.get(m)
@@ -258,7 +320,7 @@ class _Minors:
             except HankelkitError:  # a pole, which some lower orders may not read
                 table = ()
             else:
-                table = ([], leading_minors(M, self.engine))
+                table = self.run.elimination(M, self.engine)
             self.tables[m] = table
         if not table:
             return det_exact(self.build(n, m), self.engine)
@@ -270,14 +332,14 @@ class _Minors:
         return values[n - 1]
 
 
-def _hankel_det(engine, seq, n_max):
+def _hankel_det(engine, seq, n_max, run=None):
     """The oracle of hankel_matrix(seq(), n, m), one seq() for every m."""
     seq = cache(seq)
-    return _Minors(lambda n, m: hankel_matrix(seq(), n, m), n_max, engine)
+    return _Minors(lambda n, m: hankel_matrix(seq(), n, m), n_max, engine, run)
 
 
-def _oracle_det(engine, tag, x, n_max):
-    return _Minors(lambda n, m: oracle_matrix(tag, n, m, x), n_max, engine)
+def _oracle_det(engine, tag, x, n_max, run):
+    return _Minors(lambda n, m: oracle_matrix(tag, n, m, x), n_max, engine, run)
 
 
 def _rows_of(tri):
@@ -289,18 +351,18 @@ def _rows_of(tri):
 # ---------------------------------------------------------------------------
 
 
-def _suite_catalan_basics(spec: SuiteSpec):
+def _suite_catalan_basics(spec: SuiteSpec, run: _RunTable):
     n_det = max(spec.n_max, 8)
-    catalan_det = _hankel_det(spec.engine, CatalanSeq, 5)
+    catalan_det = _hankel_det(spec.engine, CatalanSeq, 5, run)
     return (
         _grid(range(1, n_det + 1), (0,), [
             (_equality_case, f"catalan det ({engine})", "seq=catalan", _const(as_field(1)),
-             _hankel_det(engine, CatalanSeq, n_det))
+             _hankel_det(engine, CatalanSeq, n_det, run))
             for engine in ENGINES
         ])
         + _grid(range(1, 6), range(6), [
             (_equality_case, "catalan shifted det vs formula", "seq=catalan",
-             catalan_det, partial(closed_form, "CatalanShift")),
+             catalan_det, partial(run.closed_form, "CatalanShift")),
         ])
         + _grid((2,), (2,), [
             (_equality_case, "spot det[[2,5],[5,14]]", "seq=catalan", _const(as_field(3)),
@@ -308,7 +370,7 @@ def _suite_catalan_basics(spec: SuiteSpec):
         ])
         + _grid((1,), (3,), [
             (_equality_case, "spot value C_3", "seq=catalan", _const(as_field(5)),
-             partial(closed_form, "CatalanShift")),
+             partial(run.closed_form, "CatalanShift")),
         ])
     )
 
@@ -339,7 +401,7 @@ def _central_binomial_triangle(rows: int):
     )
 
 
-def _suite_tables(spec: SuiteSpec):
+def _suite_tables(spec: SuiteSpec, run: _RunTable):
     return _grid((7,), (0,), [
         (_bool_case, "ballot table (8 rows)", "T=1, zero-s",
          lambda n, m: _rows_of(build_zero_s_triangle(TSeq.constant(1), n)) == _A053121),
@@ -375,7 +437,7 @@ def _closed_A_matches_triangle(T: TSeq, A, n: int) -> bool:
     return True
 
 
-def _suite_thm1_grid(spec: SuiteSpec):
+def _suite_thm1_grid(spec: SuiteSpec, run: _RunTable):
     """Each parameter point shares one table of qmoment_T and one of
     qmoment_A among its cases.  The tables fill as the cases read them, so a
     value's cost lands in the first case that needs it, and they are dropped
@@ -403,16 +465,16 @@ def _symbolic_det2(p: QParams, n: int, m: int) -> FieldElem:
     )
 
 
-def _suite_thm2_grid(spec: SuiteSpec):
+def _suite_thm2_grid(spec: SuiteSpec, run: _RunTable):
     cases = []
     for p in thm2_sample_set(spec.seed):
         cases += _grid((2,), (0,), [
             (_equality_case, "symbolic 2x2 determinant", str(p),
-             partial(_symbolic_det2, p), partial(qmoment_det, p=p)),
+             partial(_symbolic_det2, p), partial(run.qmoment_det, p=p)),
         ]) + _grid(range(1, spec.n_max + 1), range(spec.m_max + 1), [
             (_equality_case, "determinant formula vs oracle", str(p),
-             _hankel_det(spec.engine, partial(PochRatioSeq, p.a, p.b, p.base), spec.n_max),
-             partial(qmoment_det, p=p)),
+             _hankel_det(spec.engine, partial(PochRatioSeq, p.a, p.b, p.base), spec.n_max, run),
+             partial(run.qmoment_det, p=p)),
         ])
     return cases
 
@@ -421,13 +483,13 @@ def _as_rational(det, n, m):
     return det(n, m).as_rational()
 
 
-def _suite_classical_grid(spec: SuiteSpec):
+def _suite_classical_grid(spec: SuiteSpec, run: _RunTable):
     cases = []
     for a, b, c in [(4, 1, 2), (3, 1, 1), (5, 2, 3)]:
         cases += _grid(range(1, spec.n_max + 1), range(spec.m_max + 1), [
             (_equality_case, "classical determinant vs oracle", f"(a={a}, b={b}, c={c})",
              partial(_as_rational,
-                     _hankel_det(spec.engine, partial(RisingRatioSeq, a, b, c), spec.n_max)),
+                     _hankel_det(spec.engine, partial(RisingRatioSeq, a, b, c), spec.n_max, run)),
              partial(classical_det, a=a, b=b, c=c)),
         ])
     return cases + _grid(range(1, 7), (0,), [
@@ -443,7 +505,7 @@ def _odd_even_relation(odd, central, n, m):
     return odd(n, m) == as_field(Fraction(1, 2 ** n)) * central(n, m + 1)
 
 
-def _suite_registry_grid(spec: SuiteSpec):
+def _suite_registry_grid(spec: SuiteSpec, run: _RunTable):
     ns, ms = range(1, spec.n_max + 1), range(spec.m_max + 1)
     cases, oracles = [], {}
     for tag in sorted(FORMULAS):
@@ -451,44 +513,44 @@ def _suite_registry_grid(spec: SuiteSpec):
         if formula.as_printed_mismatch:
             continue
         for x in _X_SAMPLES if formula.needs_x else (None,):
-            oracles[tag, x] = oracle = _oracle_det(spec.engine, tag, x, spec.n_max)
+            oracles[tag, x] = oracle = _oracle_det(spec.engine, tag, x, spec.n_max, run)
             cases += _grid(ns, (0,) if formula.shift_domain == "zero" else ms, [
                 (_equality_case, f"{tag} vs oracle", f"x={x}" if x is not None else "",
-                 oracle, partial(closed_form, tag, x=x)),
+                 oracle, partial(run.closed_form, tag, x=x)),
             ])
     return cases + _grid(ns, ms, [
         (_bool_case, "odd/even binomial determinant relation", "",
          partial(_odd_even_relation, oracles["OddBinomialRel", None],
                  oracles["CentralBinomial", None])),
         (_equality_case, "CBqm final form equals expanded form", "",
-         cbqm_expanded, partial(closed_form, "CBqm")),
+         cbqm_expanded, partial(run.closed_form, "CBqm")),
     ]) + _grid((0,), (0,), [
         (_equality_case, "QFactorial spot", "",
-         _const(q), lambda n, m: closed_form("QFactorial", 2, 0)),
+         _const(q), lambda n, m: run.closed_form("QFactorial", 2, 0)),
         (_equality_case, "BracketFalling spot", "",
-         _const(as_field(-2)), lambda n, m: closed_form("BracketFalling", 2, 0, 2)),
+         _const(as_field(-2)), lambda n, m: run.closed_form("BracketFalling", 2, 0, 2)),
         (_equality_case, "Carlitz spot", "",
-         _const(-q), lambda n, m: closed_form("Carlitz", 2, 1)),
+         _const(-q), lambda n, m: run.closed_form("Carlitz", 2, 1)),
         (_equality_case, "CentralBinomial spot", "",
-         _const(as_field(4)), lambda n, m: closed_form("CentralBinomial", 3, 0)),
+         _const(as_field(4)), lambda n, m: run.closed_form("CentralBinomial", 3, 0)),
     ])
 
 
-def _suite_eq36(spec: SuiteSpec):
-    oracle = _oracle_det(spec.engine, "RecipBracket", None, spec.n_max)
+def _suite_eq36(spec: SuiteSpec, run: _RunTable):
+    oracle = _oracle_det(spec.engine, "RecipBracket", None, spec.n_max, run)
     return _grid(range(1, spec.n_max + 1), range(1, spec.m_max + 1), [
         (partial(_equality_case, xfail=True), "reciprocal-bracket formula as printed", "",
-         oracle, partial(closed_form, "RecipBracket")),
+         oracle, partial(run.closed_form, "RecipBracket")),
         (_equality_case, "oracle matches the q-Hilbert formula at (n, m-1)", "",
-         oracle, lambda n, m: closed_form("QHilbert", n, m - 1)),
+         oracle, lambda n, m: run.closed_form("QHilbert", n, m - 1)),
     ]) + _grid((1,), (1,), [
         (_bool_case, "spot (1,1): printed formula 0, oracle 1", "",
-         lambda n, m: closed_form("RecipBracket", n, m).is_zero
+         lambda n, m: run.closed_form("RecipBracket", n, m).is_zero
          and oracle(n, m) == as_field(1)),
     ])
 
 
-def _suite_identity_sums(spec: SuiteSpec):
+def _suite_identity_sums(spec: SuiteSpec, run: _RunTable):
     tri = _catalan_triangle(8)
     cases = _grid(range(9), (0,), [
         (_report_case, "alternating row sum", "catalan triangle", _at_n(check_alt_sum, tri)),
@@ -523,22 +585,22 @@ def _suite_identity_sums(spec: SuiteSpec):
     ])
 
 
-def _at_q_1(tag, n, m):
+def _at_q_1(run, tag, n, m):
     """The tag's determinant at q = 1, rescaled by 4^(n(n-1) + nm)."""
-    return Fraction(4) ** (n * (n - 1) + n * m) * closed_form(tag, n, m).specialize(1)
+    return Fraction(4) ** (n * (n - 1) + n * m) * run.closed_form(tag, n, m).specialize(1)
 
 
-def _suite_q_to_1(spec: SuiteSpec):
+def _suite_q_to_1(spec: SuiteSpec, run: _RunTable):
     return _grid(range(1, spec.n_max + 1), range(spec.m_max + 1), [
         (_equality_case, "q-Catalan determinant at q=1 rescales to the Catalan formula",
          "(a=q^4, b=q, base=q^2)",
-         lambda n, m: closed_form("CatalanShift", n, m).as_rational(),
-         partial(_at_q_1, "Andrewsm")),
+         lambda n, m: run.closed_form("CatalanShift", n, m).as_rational(),
+         partial(_at_q_1, run, "Andrewsm")),
         (_equality_case,
          "q-central-binomial determinant at q=1 rescales to the classical formula",
          "(a=q^2, b=q, base=q^2)",
-         lambda n, m: closed_form("CentralBinomial", n, m).as_rational(),
-         partial(_at_q_1, "CBqm")),
+         lambda n, m: run.closed_form("CentralBinomial", n, m).as_rational(),
+         partial(_at_q_1, run, "CBqm")),
     ])
 
 
@@ -567,7 +629,7 @@ def _recovered(seq, s, t, n, m):
             and [v.as_rational() for v in rec.t_list(n - 1)] == t)
 
 
-def _suite_jacobi_roundtrip(spec: SuiteSpec):
+def _suite_jacobi_roundtrip(spec: SuiteSpec, run: _RunTable):
     rng = random.Random(spec.seed)
     depth = 8
     rows = []
@@ -612,7 +674,7 @@ def _engines_agree(entries):
     return str(lhs), str(rhs), lhs == rhs
 
 
-def _suite_engine_agreement(spec: SuiteSpec):
+def _suite_engine_agreement(spec: SuiteSpec, run: _RunTable):
     rng = random.Random(spec.seed)
     cases = []
     for field_name, sampler in (("Q", _random_rational_matrix), ("Q(q)", _random_q_matrix)):
@@ -670,16 +732,17 @@ def build_cases(spec: SuiteSpec):
         raise ValueError("m_max must be nonnegative")
     if spec.engine not in ENGINES:
         raise ValueError(f"unknown determinant engine {spec.engine!r}")
+    run = _RunTable()
     if spec.suite == "all":
         cases = []
         for name in SUITES:
-            cases.extend(_SUITE_BUILDERS[name](spec))
+            cases.extend(_SUITE_BUILDERS[name](spec, run))
         return cases
     try:
         builder = _SUITE_BUILDERS[spec.suite]
     except KeyError:
         raise KeyError(f"unknown suite {spec.suite!r}; known: {', '.join(SUITES)} or 'all'")
-    return builder(spec)
+    return builder(spec, run)
 
 
 def run_suite(spec: SuiteSpec) -> SuiteReport:

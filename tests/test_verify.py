@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 from functools import partial
@@ -12,19 +13,22 @@ from functools import partial
 import pytest
 
 from hankelkit.cli import SIZE_LIMITS
-from hankelkit.errors import InsufficientSamples
-from hankelkit import verify
+from hankelkit.closed_forms import QParams, qmoment_det
+from hankelkit.errors import InsufficientSamples, PoleInFormula
+from hankelkit import closed_forms, verify
 from hankelkit.field import F_ONE, q
-from hankelkit.hankel import ENGINES, det_exact, hankel_matrix
+from hankelkit.hankel import ENGINES, det_exact, hankel_matrix, leading_minors
 from hankelkit.sequences import ExplicitSeq
 from hankelkit.verify import (
     SUITES,
     Case,
     SuiteSpec,
+    _const,
     _equality_case,
     _grid,
     _hankel_det,
     _run_case,
+    _RunTable,
     build_cases,
     report_to_csv,
     report_to_json,
@@ -160,10 +164,12 @@ class TestRunSuite:
         assert timing_free([_run_case(c) for c in cases]) == forward
 
 
-    @pytest.mark.parametrize("suite", ["thm2-grid", "registry-grid"])
+    @pytest.mark.parametrize("suite", ["thm2-grid", "registry-grid", "all"])
     @pytest.mark.parametrize("engine", ENGINES)
     def test_shared_minors_do_not_depend_on_call_order(self, suite, engine):
-        # the oracle cases of one matrix source share one elimination per m
+        # the oracle cases of one matrix source share one elimination per m, and
+        # the suites of one run share eliminations, closed forms and q-moment
+        # products through its table
         spec = SuiteSpec(suite, n_max=3, m_max=2, engine=engine)
         forward = timing_free(run_suite(spec).records)
         cases = build_cases(spec)
@@ -207,6 +213,97 @@ class TestRunSuite:
         assert [(r.n, r.m) for r in shared if not r.holds] == [(4, 1), (4, 2)]
         assert {r.error for r in shared if not r.holds} == {
             "PoleInSequence: explicit sequence has only 7 terms"}
+
+
+class TestRunTable:
+    """One table per run: each distinct elimination, closed form and
+    q-moment product is computed once, and sharing changes no record."""
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_each_suite_alone_is_its_slice_of_all(self, engine):
+        spec = SuiteSpec("all", n_max=3, m_max=2, engine=engine)
+        whole = timing_free(run_suite(spec).records)
+        start = 0
+        for name in SUITES:
+            alone = timing_free(run_suite(replace(spec, suite=name)).records)
+            assert alone == whole[start:start + len(alone)], name
+            start += len(alone)
+        assert start == len(whole)
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_one_computation_per_distinct_value(self, monkeypatch, engine, seed):
+        eliminated, evaluated, factors = [], [], []
+        monkeypatch.setattr(verify, "leading_minors", _logged(leading_minors, eliminated))
+        monkeypatch.setattr(verify, "closed_form", _logged(closed_forms.closed_form, evaluated))
+        factor = _logged(closed_forms.qmoment_det_factor, factors)
+        monkeypatch.setattr(verify, "qmoment_det_factor", factor)
+        monkeypatch.setattr(closed_forms, "qmoment_det_factor", factor)
+        assert run_suite(SuiteSpec("all", engine=engine, seed=seed)).ok
+        # 110, 456 and 287 with one computation per reader
+        assert (len(eliminated), len(evaluated), len(factors)) == (90, 315, 28)
+
+    def test_a_closed_form_that_raises_is_not_stored(self, monkeypatch):
+        evaluated = []
+        monkeypatch.setattr(verify, "closed_form", _logged(closed_forms.closed_form, evaluated))
+        run = _RunTable()
+        records = [_run_case(c) for c in _grid((1, 2), (0,), [
+            (_equality_case, f"reader {i}", "", _const(F_ONE),
+             partial(run.closed_form, "RecipBracket"))
+            for i in range(2)
+        ])]
+        assert [r.error for r in records] == [
+            "PoleInFormula: matrix entry 1/[0] is undefined at m = 0"] * 4
+        assert len(evaluated) == 4 and run.closed == {}
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_grids_sharing_a_failing_build_each_fall_back(self, monkeypatch, engine):
+        # the order-4 matrix at m >= 1 reads an eighth term of seven
+        seq = partial(ExplicitSeq, [Fraction(1, k + 1) for k in range(7)])
+        eliminated = []
+        monkeypatch.setattr(verify, "leading_minors", _logged(leading_minors, eliminated))
+
+        def records(*oracles):
+            return timing_free(map(_run_case, _grid(range(1, 5), range(3), [
+                (_equality_case, f"pole {i}", "", oracle,
+                 lambda n, m: det_exact(hankel_matrix(seq(), n, m), engine))
+                for i, oracle in enumerate(oracles)
+            ])))
+
+        run = _RunTable()
+        shared = records(_hankel_det(engine, seq, 4, run), _hankel_det(engine, seq, 4, run))
+        assert [M.n for M, _ in eliminated] == [4]  # m = 0, shared by both grids
+        assert len(run.eliminations) == 1
+        assert shared == records(_hankel_det(engine, seq, 4), _hankel_det(engine, seq, 4))
+        assert [(r.check, r.n, r.m) for r in shared if not r.holds] == [
+            ("pole 0", 4, 1), ("pole 1", 4, 1), ("pole 0", 4, 2), ("pole 1", 4, 2)]
+
+    def test_q_moment_pole_raises_as_the_direct_call(self):
+        # 1 - base^3 a vanishes: it divides the factors k >= 2 of d(n, 0), so
+        # every d(n, m) with n >= 3, and the shift part of d(2, 2)
+        p = QParams(q ** -3, q, q)
+        points = [(n, m) for n in range(1, 6) for m in range(3)]
+        random.Random(3).shuffle(points)
+        run, poles = _RunTable(), []
+        for n, m in points:
+            try:
+                expected = qmoment_det(n, m, p)
+            except PoleInFormula as exc:
+                poles.append((n, m))
+                with pytest.raises(PoleInFormula, match=re.escape(str(exc))):
+                    run.qmoment_det(n, m, p)
+            else:
+                assert run.qmoment_det(n, m, p) == expected
+        assert sorted(poles) == [(2, 2)] + [(n, m) for n in range(3, 6) for m in range(3)]
+        assert len(run.qmoment[p]) == 2  # d(1, 0) and d(2, 0): nothing past the pole
+
+
+def _logged(fn, log):
+    """fn, appending the arguments of each call to log."""
+    def wrapper(*args):
+        log.append(args)
+        return fn(*args)
+    return wrapper
 
 
 def timing_free(records):
