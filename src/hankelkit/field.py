@@ -125,11 +125,23 @@ length of 12-16 (16 at 600 bits), hence ``_MUL_PACK_MIN`` = 16.  The 2-adic
 division wins once divisor and quotient both have 24-32 coefficients of up
 to 30 bits; at 200 bits it needs 64, and between 32 and 64 it loses up to
 1.5x to the loop.  The q-moment determinants have small coefficients, hence
-``_DIV_PACK_MIN`` = 32.  ``_pack`` splits a vector in halves down to runs of
-16 coefficients, which it folds by Horner's rule: a fold of the whole vector
-shifts an ever longer int and is quadratic, while runs of one coefficient
-pay a call per slot.  At 600 coefficients of 200 bits (w = 416, best of
-25 in the quietest of 4 rounds) one pack took 222 us with runs of 16,
+``_DIV_PACK_MIN`` = 32.  It was swept again on the 824 calls left in one
+``roundtrip-verify`` repetition once the gcd took its cofactors from the
+packed quotient (seed 3, best of 15, interleaved, Python 3.11): cut-offs
+of 8, 16, 24, 32, 48, 64 and none took 35.6, 34.7, 36.6, 36.9, 40.2, 44.2
+and 58.8 ms (seed 4: 36.9, 36.3, 37.7, 39.2, 41.1, 45.0 and 61.5).  The
+gain at 16 is 29 calls of a long quotient (37-201 coefficients) over a
+divisor of 16-31 coefficients of at most 23 bits, 4.9 against 9.4 ms,
+while a quotient and a divisor of 16 coefficients each took 66 against
+35 us at 8 bits and 155 against 71 us at 200 bits on the 2-adic path.
+The 287 calls of one ``det-kernels`` repetition took 318-327 ms at every
+cut-off from 8 to 64.  So 32 stays.
+
+``_pack`` splits a vector in halves down to runs of 16 coefficients, which
+it folds by Horner's rule: a fold of the whole vector shifts an ever longer
+int and is quadratic, while runs of one coefficient pay a call per slot.
+At 600 coefficients of 200 bits (w = 416, best of 25 in the quietest of 4
+rounds) one pack took 222 us with runs of 16,
 against 431 us with runs of 1, 228 us with runs of 8, 280 us with runs of
 32, 446 us with runs of 64 and 4.7 ms with no split.  Runs of 16 were the
 fastest or within 12 % of it at 40, 100 and 600 coefficients; at 1300
@@ -165,19 +177,52 @@ median read 1.128 against 1.120 s, lower in 3 of ten pairs.
 
 Gcds are heuristic (GCDHEU: Char, Geddes and Gonnet, JSC 1989) and
 certified.  For primitive f = h u and g = h v with h their gcd, the integer
-gcd of f(2^w) and g(2^w) is h(2^w) k with k = gcd(u(2^w), v(2^w)); its
-signed base-2^w digits are read back by ``_unpack``.  If 2^w > 2 min(|f|,
-|g|) + 2 (max norms) and the primitive part of those digits divides both f
-and g, it is the gcd (Geddes, Czapor and Labahn, Algorithms for Computer
-Algebra, 1992, 7.7); the two exact divisions are the certificate, and their
-quotients are the cofactors.  The slot width w = 8 ceil((min(bits f, bits
-g) + 3) / 8) meets that bound, and w doubles whenever the certificate
-fails.  The loop ends: k divides the resultant res(u, v), which is nonzero
+gcd of F = f(2^w) and G = g(2^w) is h(2^w) k with k = gcd(u(2^w),
+v(2^w)); its signed base-2^w digits are read back by ``_unpack``.  If 2^w >
+2 min(|f|, |g|) + 2 (max norms) and the primitive part h of those digits
+divides both f and g, it is the gcd (Geddes, Czapor and Labahn, Algorithms
+for Computer Algebra, 1992, 7.7).  The certificate is the two cofactors
+f/h and g/h, and the gcd returns them.  The slot width w = 8
+floor((min(bits f, bits g) + 18) / 8), 8 bits less for long inputs
+(below), meets that bound, and w doubles whenever a cofactor does not
+exist.  The loop ends: k divides the resultant res(u, v), which is nonzero
 and does not depend on w, so once 2^w > 2 |res(u, v)| |h| the digits are
-exactly k h.  Replaying the 147 983 gcd calls of one ``verify all`` and one
-n = 10 determinant per engine, 24 065 packed their inputs (the rest had a
-constant input); 903 of those needed more than one slot width, and none
-more than four.
+exactly k h.  Replaying the 64 245 gcd calls of one ``verify
+all`` and one n = 10 determinant per engine, 10 356 packed their inputs
+(the rest had a constant input); 171 of those needed more than one slot
+width, and none more than three.
+
+Each cofactor is read off the packed ints the gcd has already built
+(``_cofactor``).  With H = h(2^w), the integer gcd divided by the content
+of its digits, take U, r = divmod(F, H).  If r != 0, h does not divide f,
+since f = h u gives F = H u(2^w).  If r = 0, U is read back as the n = len
+f - len h + 1 signed digits of u, and u is f/h, with no vector division, when
+U.bit_length() < w n - 1, so that the digits hold U exactly; bits(h) +
+bits(u) + bit_length(min(len h, n)) < w, so that every coefficient of h u
+is below 2^(w-1); and bits(f) < w - 1.  Then h u - f vanishes at 2^w and
+every coefficient of it is below 2^w in absolute value, so it is 0.  In
+any other case ``_try_div_exact`` decides, and it decides every quotient
+of w n >= ``_DIV_KS2_MIN`` bits, since CPython's divmod is quadratic.  The
+gcd and its cofactors are unique, so the route changes no result.
+
+The slot width stays sized by the smaller input: sized by max(bits f,
+bits g), at the margin of 18 below, ``det --seq c:q^1000,q,q^1000 --n 5``
+took 5.8 s against 0.85 s, spent in ``math.gcd``.  The margin of 18 bits
+over min(bits f, bits g) is measured on the 11 341 gcds with two
+nonconstant inputs of one ``roundtrip-verify`` repetition (seed 3; best of
+7, interleaved in one process, Python 3.11), which two exact divisions per
+gcd certified in 343 ms.  With one margin for every gcd: at 10 bits, 2 944
+cofactors failed the slot fit and fell back to ``_try_div_exact``, and the
+gcds took 336 ms; at 18, 262 of 11 685 fell back, for 259 ms; at 26, 37,
+for 256 ms.  The gcds of one ``det-kernels`` repetition took 147, 143, 127
+and 123 ms in the same order.  The 8 bits past the margin of 10 serve only
+cofactors short enough for divmod, and they cost ``math.gcd``, which is
+quadratic, most on small coefficients.  So inputs whose shorter length
+times w reaches ``_DIV_KS2_MIN`` keep the margin of 10.  With 18 bits for
+every gcd, ``det --seq c:q^1000,q,q^1000 --n 4``, whose gcds pack 1-bit
+coefficients at 16 bits against 8, took 9.5 s against 7.3 s at 10 bits;
+with the rule it took 6.9 s, and the replayed gcds of the two workloads
+took 243 against 326 ms (268 cofactors fell back) and 114 against 135 ms.
 
 The gcd returns the cofactors its certificate computed, (h, f/h, g/h), so
 no caller divides by a gcd it has just computed.  Addition is Henrici's
@@ -641,24 +686,50 @@ def _try_div_exact(f, g):
     return tuple(quot)
 
 
+def _cofactor(f, big_f, bits_f, h, big_h, bits_h, w):
+    """f / h for primitive f and h with F = f(2^w) and H = h(2^w), or None
+    when h does not divide f: from the packed quotient F / H when its digits
+    fit their slots (module docstring), else by ``_try_div_exact``."""
+    n = len(f) - len(h) + 1
+    # CPython's divmod is quadratic: only short quotients take it
+    if w * n < _DIV_KS2_MIN:
+        big_u, rem = divmod(big_f, big_h)
+        if rem:
+            return None
+        # |f| < 2^(w-2), and n signed digits hold U exactly
+        if bits_f < w - 1 and big_u.bit_length() < w * n - 1:
+            u = _unpack(big_u, w >> 3, n)
+            # every coefficient of h u - f is below 2^w, and it vanishes at 2^w
+            if bits_h + _bits(u) + min(len(h), n).bit_length() < w:
+                return tuple(u)
+    return _try_div_exact(f, h)
+
+
 def _gcd_cofactors(f, g):
     """(h, f/h, g/h): h is the primitive gcd (positive leading entry) of the
     nonzero primitive vectors f, g; a trivial gcd returns f and g unchanged.
-    Heuristic gcd at 2^w, certified by exact division (module docstring)."""
+    Heuristic gcd at 2^w, certified by its cofactors (module docstring)."""
     if len(f) == 1 or len(g) == 1:
         return (1,), f, g
-    # 2^w > 2 min(|f|, |g|) + 2, the bound the certificate needs
-    nbytes = (min(_bits(f), _bits(g)) + 10) // 8
+    bits_f, bits_g = _bits(f), _bits(g)
+    # 2^w > 2 min(|f|, |g|) + 2, the bound the certificate needs, with 8 bits
+    # more for the cofactors' digits to fit their slots, unless the inputs
+    # are too long for their cofactors to be read off a packed divmod
+    nbytes = (min(bits_f, bits_g) + 18) // 8
+    if 8 * nbytes * min(len(f), len(g)) >= _DIV_KS2_MIN:
+        nbytes -= 1
     while True:
         w = 8 * nbytes
-        x = math.gcd(_pack(f, w), _pack(g, w))
+        big_f, big_g = _pack(f, w), _pack(g, w)
+        x = math.gcd(big_f, big_g)
         # x < 2^(w n - 1) for n = bit_length // w + 1: n signed digits hold x
-        h, _ = _primitive(_unpack(x, nbytes, x.bit_length() // w + 1))
+        h, c = _primitive(_unpack(x, nbytes, x.bit_length() // w + 1))
         if len(h) == 1:
             return (1,), f, g
-        f_cof = _try_div_exact(f, h)
+        big_h, bits_h = x // c, _bits(h)
+        f_cof = _cofactor(f, big_f, bits_f, h, big_h, bits_h, w)
         if f_cof is not None:
-            g_cof = _try_div_exact(g, h)
+            g_cof = _cofactor(g, big_g, bits_g, h, big_h, bits_h, w)
             if g_cof is not None:
                 return h, f_cof, g_cof
         nbytes *= 2

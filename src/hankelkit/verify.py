@@ -9,9 +9,10 @@ it, and an expected failure that unexpectedly holds is flagged as an anomaly.
 One run computes each exact result its suites share once.  ``build_cases``
 makes one table for the run (``_RunTable``) and hands it to every suite
 builder; it holds the eliminations, keyed by (engine, matrix entries), the
-closed forms, keyed by (tag, n, m, x), and the q-moment determinant's
-running product per parameter point.  The first case in the run to read a
-value pays for it in its ``wall_ms``; a read that raises stores nothing.
+closed forms, keyed by (tag, n, m, x), and per parameter point the weights
+qmoment_T and the q-moment determinant's running product.  The first case
+in the run to read a value pays for it in its ``wall_ms``; a read that
+raises stores nothing.
 """
 
 from __future__ import annotations
@@ -250,11 +251,12 @@ class _RunTable:
 
     ``build_cases`` makes one table and hands it to each suite builder; the
     cases' closures hold it, so it lives as long as the case list.  It
-    shares three things, each under a key that fixes the value:
+    shares four things, each under a key that fixes the value:
 
     - eliminations, under (engine, entries of the matrix eliminated), so two
       grids share one only when their matrices are equal entry for entry;
     - closed forms, under (tag, n, m, x);
+    - the weights qmoment_T(k, p), as one TSeq per parameter point p;
     - the prefix products d(1, 0), d(2, 0), ... of the q-moment
       determinant, under the parameter point.
 
@@ -265,6 +267,7 @@ class _RunTable:
     def __init__(self):
         self.eliminations = {}  # (engine, entries) -> (minors so far, the elimination)
         self.closed = {}        # (tag, n, m, x) -> closed_form(tag, n, m, x)
+        self.weights_of = {}    # p -> TSeq of qmoment_T(k, p)
         self.qmoment = {}       # p -> [d(1, 0), d(2, 0), ...]
 
     def elimination(self, M, engine):
@@ -282,6 +285,13 @@ class _RunTable:
         if value is None:
             value = self.closed[key] = closed_form(tag, n, m, x)
         return value
+
+    def weights(self, p):
+        """The TSeq k -> qmoment_T(k, p), one per point in the run."""
+        T = self.weights_of.get(p)
+        if T is None:
+            T = self.weights_of[p] = TSeq(partial(qmoment_T, p=p))
+        return T
 
     def qmoment_det(self, n, m, p):
         """qmoment_det(n, m, p): d(n, 0) from the point's prefix products,
@@ -438,14 +448,14 @@ def _closed_A_matches_triangle(T: TSeq, A, n: int) -> bool:
 
 
 def _suite_thm1_grid(spec: SuiteSpec, run: _RunTable):
-    """Each parameter point shares one table of qmoment_T and one of
-    qmoment_A among its cases.  The tables fill as the cases read them, so a
-    value's cost lands in the first case that needs it, and they are dropped
-    with the case list."""
+    """Each parameter point shares one table of qmoment_T, the run's, and
+    one of qmoment_A among its cases.  The tables fill as the cases read
+    them, so a value's cost lands in the first case that needs it, and they
+    are dropped with the case list."""
     bound = spec.n_max
     cases = []
     for p in thm1_sample_set(spec.seed):
-        T, A = TSeq(partial(qmoment_T, p=p)), cache(partial(qmoment_A, p=p))
+        T, A = run.weights(p), cache(partial(qmoment_A, p=p))
         cases += _grid(range(bound + 1), (0,), [
             (_bool_case, "even-row recurrence residual", str(p),
              partial(_recurrence_holds, T, A, 0, bound)),
@@ -563,7 +573,7 @@ def _suite_identity_sums(spec: SuiteSpec, run: _RunTable):
     for p in named:
         cases += _grid(ns, (0,), [
             (_report_case, "weighted alternating sum", str(p),
-             _at_n(check_weighted_alt_sum, TSeq(partial(qmoment_T, p=p)))),
+             _at_n(check_weighted_alt_sum, run.weights(p))),
         ])
     for a in (q ** 3, as_field(Fraction(2, 3)), as_field(Fraction(1, 2)), as_field(3)):
         cases += _grid(ns, (0,), [

@@ -4,7 +4,10 @@ and non-monic inputs; property tests of the integer-vector multiply and
 exact division against schoolbook references, on both sides of their
 packing cut-offs, and of the decimal long multiply and its guards; and of
 the gcd's cofactors against a residue-list Euclid over GF(p) and against
-sympy, and the Henrici addition built on them."""
+sympy, of the slot-fit check that reads them off the packed quotient, and
+the Henrici addition built on them.  ``examples`` raises the property tests
+of the gcd and of exact division to the ``ci`` profile's count when
+``pytest --hypothesis-profile=ci`` loads it (tests/conftest.py)."""
 
 import decimal
 import importlib.util
@@ -37,6 +40,13 @@ from hankelkit.field import (
     q,
 )
 from hankelkit.qcalc import q_pochhammer
+
+
+def examples(n):
+    """n, or the example count of the ``ci`` profile (tests/conftest.py)
+    when that profile is loaded and asks for more."""
+    ci = settings.get_profile("ci")
+    return max(n, ci.max_examples) if settings.default is ci else n
 
 
 def monic_euclid_gcd(f, g):
@@ -226,20 +236,20 @@ def test_mul_int_matches_schoolbook(a, b):
     assert _mul_int(a, b) == schoolbook_mul(a, b)
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=examples(120), deadline=None)
 @given(int_vectors(), int_vectors())
 def test_try_div_exact_recovers_quotient(g, h):
     assert _try_div_exact(schoolbook_mul(g, h), g) == h
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 @given(int_vectors(), int_vectors(), st.integers(1, 60), st.integers(1, 1 << 40))
 def test_try_div_exact_even_constant_term(g, h, twos, odd):
     g = (odd << twos,) + g
     assert _try_div_exact(schoolbook_mul(g, h), g) == h
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=examples(120), deadline=None)
 @given(int_vectors(), int_vectors(), st.data())
 def test_try_div_exact_matches_schoolbook_on_perturbed(g, h, data):
     f = list(schoolbook_mul(g, h))
@@ -398,7 +408,7 @@ def test_divexact_2adic_signed_lift(k):
     assert _divexact_2adic((1 << 5) + 1, 1 << 5, k) is None
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=examples(120), deadline=None)
 @given(int_vectors(), int_vectors(), st.booleans(), st.sampled_from((0, math.inf)))
 def test_try_div_exact_ks2_or_one_point_matches_schoolbook(g, h, perturb, cut):
     # the cut-off patched to 0 sends every packed division through KS2, and
@@ -786,7 +796,7 @@ def test_wide_common_factor():
     assert normalized(f.gcd(g)) == normalized(Polynomial(h))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 @given(st.integers(0, 1 << 32), st.integers(1, 12), st.integers(1, 60),
        st.integers(1, 60), st.integers(1, 80))
 def test_gcd_cofactors_property(seed, len_h, len_u, len_v, bits):
@@ -847,7 +857,7 @@ def gcd_inputs(draw):
     return _mul_int(h, u), _mul_int(h, v)
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=examples(80), deadline=None)
 @given(gcd_inputs())
 def test_gcd_cofactors_match_sympy(pair):
     sympy = pytest.importorskip("sympy")
@@ -892,7 +902,7 @@ def cross_sum(x, y, sign=1):
     return FieldElem(Polynomial(num), Polynomial(schoolbook_mul(b, d)))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 @given(elem_pairs())
 def test_henrici_addition_matches_reduced_sum(pair):
     x, y = pair
@@ -913,15 +923,29 @@ def test_henrici_addition_with_equal_denominators_reduces():
     assert FieldElem(1, one_minus_q) - FieldElem(Polynomial([0, 1]), one_minus_q) == 1
 
 
-def test_field_elem_reduction_divides_once(monkeypatch):
-    # the gcd certifies its candidate by dividing f h and g h by it, and
-    # those two quotients are the reduced numerator and denominator
+def _division_log(monkeypatch):
+    """The (f, g) of each ``_try_div_exact`` call from now on."""
     calls = []
     try_div_exact = field._try_div_exact
 
-    def counted(f, g):
+    def logged(f, g):
         calls.append((f, g))
         return try_div_exact(f, g)
+
+    monkeypatch.setattr(field, "_try_div_exact", logged)
+    return calls
+
+
+def test_field_elem_reduction_divides_once(monkeypatch):
+    # the gcd reads each cofactor off one packed quotient f(2^w) / h(2^w),
+    # checked by the slot fit, with no schoolbook division: those two
+    # quotients are the reduced numerator and denominator
+    cofactors = []
+    cofactor = field._cofactor
+
+    def logged(*args):
+        cofactors.append(cofactor(*args))
+        return cofactors[-1]
 
     rng = random.Random(41)
     f = Polynomial(_random_vector(rng, 30, 20))
@@ -929,7 +953,108 @@ def test_field_elem_reduction_divides_once(monkeypatch):
     h = Polynomial(_random_vector(rng, 20, 20))
     num, den = f * h, g * h
     assert len(num.coeffs) > 40 and len(den.coeffs) > 40
-    monkeypatch.setattr(field, "_try_div_exact", counted)
+    divisions = _division_log(monkeypatch)
+    monkeypatch.setattr(field, "_cofactor", logged)
     x = FieldElem(num, den)
-    assert len(calls) == 2
+    assert cofactors == [f.coeffs, g.coeffs] and divisions == []
     assert x == FieldElem(f, g) and x.den.degree == 29
+
+
+def packed_cofactor(f, h, w):
+    """``_cofactor`` of f by h at the slot width w."""
+    bits = field._bits
+    return field._cofactor(f, _pack(f, w), bits(f), h, _pack(h, w), bits(h), w)
+
+
+def test_cofactor_refuses_a_product_coefficient_past_the_slot(monkeypatch):
+    # h = q + 1 and f = 5 q^4 - 63 q^3 + 63 q^2 - 63 q + 63, with f(-1) = 257
+    # = h(2^8): h(2^8) divides f(2^8), but h does not divide f.  The
+    # quotient's digits at 2^8 are u = (63, -126, -67, 5), and h u has the
+    # coefficient -193, past the 8-bit slot, so the check refuses u and the
+    # schoolbook division decides
+    f, h, w = (63, -63, 63, -63, 5), (1, 1), 8
+    assert _pack(f, w) % _pack(h, w) == 0 and field._bits(f) < w - 1
+    assert _unpack(_pack(f, w) // _pack(h, w), 1, 4) == [63, -126, -67, 5]
+    divisions = _division_log(monkeypatch)
+    assert packed_cofactor(f, h, w) is None
+    assert divisions == [(f, h)]
+
+
+def test_cofactor_refuses_a_dividend_past_the_slot(monkeypatch):
+    # f = q + 258 and h = q + 1: f(2^8) = 514 = 2 h(2^8), and h u = 2 q + 2
+    # fits the slot, but f's 9-bit constant does not: h u - f = -256 (q - 1)
+    # vanishes at 2^8 and is not 0
+    f, h, w = (258, 1), (1, 1), 8
+    assert field._bits(f) >= w - 1 and _pack(f, w) == 2 * _pack(h, w)
+    divisions = _division_log(monkeypatch)
+    assert packed_cofactor(f, h, w) is None
+    assert divisions == [(f, h)]
+
+
+@pytest.mark.parametrize("n", [127, 128])
+def test_cofactor_quotient_size_cap(monkeypatch, n):
+    # at w = 64 a quotient of 127 coefficients has 8128 bits, below
+    # _DIV_KS2_MIN = 8192, and is read off the packed divmod; 128 have 8192
+    # bits, which CPython's quadratic divmod does not take
+    assert 64 * 127 < _DIV_KS2_MIN <= 64 * 128
+    rng = random.Random(n)
+    h, u = _primitive_vector(rng, 5, 8), _primitive_vector(rng, n, 8)
+    f = _mul_int(h, u)
+    divisions = _division_log(monkeypatch)
+    assert packed_cofactor(f, h, 64) == u
+    assert divisions == ([] if n == 127 else [(f, h)])
+    # one coefficient off: h(2^64) no longer divides f(2^64)
+    assert packed_cofactor(_not_divisible(f, h), h, 64) is None
+
+
+@pytest.mark.parametrize("length, width", [(100, 16), (600, 8)])
+def test_gcd_slot_margin(monkeypatch, length, width):
+    # 2-bit inputs pack at 16 bits, 18 bits past their size rounded down to
+    # bytes; at 600 coefficients 16 * 600 bits reach _DIV_KS2_MIN, past any
+    # cofactor's packed divmod, and they pack at 8, as at a margin of 10
+    widths = []
+    pack = field._pack
+
+    def logged(coeffs, w, lo=0):
+        widths.append(w)
+        return pack(coeffs, w, lo)
+
+    f = _mul_int((1, 1), (1,) * length)
+    g = _mul_int((1, 1), (2,) + (1,) * (length - 1))
+    monkeypatch.setattr(field, "_pack", logged)
+    h, f_cof, g_cof = _gcd_cofactors(f, g)
+    assert widths[:2] == [width, width]
+    assert _mul_int(h, f_cof) == f and _mul_int(h, g_cof) == g
+
+
+@st.composite
+def slot_edge_cofactors(draw):
+    """(f, h, w): a slot of w bits, h of 2-12 coefficients and f = h u, or
+    h u with one coefficient moved, where bits(h) + bits(u) +
+    bit_length(min(len h, len u)) is within 3 bits of w, so that the slot
+    fit holds or fails by a few bits."""
+    rng = random.Random(draw(st.integers(0, 1 << 32)))
+    w = 8 * draw(st.integers(1, 8))
+    len_h, len_u = draw(st.integers(2, 12)), draw(st.integers(1, 40))
+    room = w - min(len_h, len_u).bit_length() + draw(st.integers(-3, 3))
+    bits_h = draw(st.integers(1, max(1, min(room - 1, w - 3))))
+    # a vector's bits are at most one more than asked; h(2^w) != 0
+    h = _primitive_vector(rng, len_h, bits_h - 1)
+    u = _random_vector(rng, len_u, max(room - bits_h - 1, 0))
+    f = list(_primitive(_mul_int(h, u))[0])
+    if draw(st.booleans()):
+        f[draw(st.integers(0, len(f) - 2))] += draw(st.sampled_from((1, -1))) << draw(
+            st.integers(0, w))
+    return _primitive(f)[0], h, w
+
+
+@settings(max_examples=examples(150), deadline=None)
+@given(slot_edge_cofactors())
+def test_cofactor_at_the_slot_edge_matches_sympy(case):
+    sympy = pytest.importorskip("sympy")
+    f, h, w = case
+    x = sympy.Symbol("q")
+    quot, rem = sympy.Poly(f[::-1], x, domain="ZZ").div(
+        sympy.Poly(h[::-1], x, domain="ZZ"), auto=False)
+    expected = tuple(int(c) for c in reversed(quot.all_coeffs())) if rem.is_zero else None
+    assert packed_cofactor(f, h, w) == expected

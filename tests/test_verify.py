@@ -243,6 +243,22 @@ class TestRunTable:
         # 110, 456 and 287 with one computation per reader
         assert (len(eliminated), len(evaluated), len(factors)) == (90, 315, 28)
 
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_one_weight_per_point_and_index(self, monkeypatch, seed):
+        # thm1-grid and identity-sums both read qmoment_T at (q^4, q | q^2)
+        # and (q^2, q | q^2)
+        calls = []
+
+        def logged(k, p):
+            calls.append((k, p))
+            return closed_forms.qmoment_T(k, p)
+
+        monkeypatch.setattr(verify, "qmoment_T", logged)
+        assert run_suite(SuiteSpec("all", seed=seed)).ok
+        # 186 with one table per suite
+        assert len(calls) == len(set(calls)) == 168
+        assert len({p for _, p in calls}) == 14
+
     def test_a_closed_form_that_raises_is_not_stored(self, monkeypatch):
         evaluated = []
         monkeypatch.setattr(verify, "closed_form", _logged(closed_forms.closed_form, evaluated))
