@@ -88,34 +88,42 @@ def _emit(text: str) -> None:
         sys.stdout.write("\n")
 
 
-def _emit_value(command: str, params: dict, value: FieldElem, cross, fmt: str) -> None:
-    """cross is None or a (oracle_value, matches) pair."""
+def _emit_result(fmt: str, command: str, params: dict, fields: dict, rows, lines) -> None:
+    """Print a command's result in the one format asked for.
+
+    JSON is {"command", "params", **fields}, every FieldElem in it written as
+    its coefficient strings; CSV is ``rows``, whose cells csv stringifies;
+    pretty is ``lines``, each stringified.  Only the asked format is
+    iterated, so a generator leaves the other formats' str() calls unmade.
+    """
     if fmt == "json":
-        payload = {
-            "command": command,
-            "params": params,
-            "result": _elem_json(value),
-            "cross_check": None
-            if cross is None
-            else {"oracle": _elem_json(cross[0]), "matches": cross[1]},
-        }
-        _emit(json.dumps(payload, indent=2, sort_keys=True))
+        payload = {"command": command, "params": params, **fields}
+        _emit(json.dumps(payload, indent=2, sort_keys=True, default=_elem_json))
     elif fmt == "csv":
         buf = io.StringIO()
-        writer = csv.writer(buf)
-        header = ["command"] + list(params) + ["result"]
-        row = [command] + [str(v) for v in params.values()] + [str(value)]
-        if cross is not None:
-            header += ["oracle", "matches"]
-            row += [str(cross[0]), cross[1]]
-        writer.writerow(header)
-        writer.writerow(row)
+        csv.writer(buf).writerows(rows)
         _emit(buf.getvalue())
     else:
-        _emit(str(value))
+        _emit("\n".join(map(str, lines)))
+
+
+def _emit_value(fmt: str, command: str, params: dict, value: FieldElem, cross) -> None:
+    """det and closed-form: one value, and with cross = (the other route's
+    value, whether it matches) a cross-check."""
+    header, row = ["command", *params, "result"], [command, *params.values(), value]
+    if cross is not None:
+        header += ["oracle", "matches"]
+        row += cross
+
+    def lines():
+        yield value
         if cross is not None:
-            _emit(f"cross-check: {cross[0]}")
-            _emit(f"matches: {'yes' if cross[1] else 'no'}")
+            yield f"cross-check: {cross[0]}"
+            yield f"matches: {'yes' if cross[1] else 'no'}"
+
+    check = None if cross is None else {"oracle": cross[0], "matches": cross[1]}
+    _emit_result(fmt, command, params, {"result": value, "cross_check": check},
+                 [header, row], lines())
 
 
 def _size(x: FieldElem) -> int:
@@ -186,22 +194,8 @@ def _triangle_params(args) -> tuple[Triangle, dict]:
 
 def cmd_triangle(args) -> int:
     tri, params = _triangle_params(args)
-    if args.format == "json":
-        payload = {
-            "command": "triangle",
-            "params": params,
-            "rows": [[_elem_json(v) for v in row] for row in tri.rows],
-        }
-        _emit(json.dumps(payload, indent=2, sort_keys=True))
-    elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        for row in tri.rows:
-            writer.writerow([str(v) for v in row])
-        _emit(buf.getvalue())
-    else:
-        for row in tri.rows:
-            _emit(" ".join(str(v) for v in row))
+    _emit_result(args.format, "triangle", params, {"rows": tri.rows}, tri.rows,
+                 (" ".join(map(str, row)) for row in tri.rows))
     return 0
 
 
@@ -233,7 +227,7 @@ def cmd_det(args) -> int:
     if args.cross_check:
         other = lemma_value if args.via == "oracle" else oracle_value
         cross = (other, other == value)
-    _emit_value("det", params, value, cross, args.format)
+    _emit_value(args.format, "det", params, value, cross)
     return 0
 
 
@@ -250,7 +244,7 @@ def cmd_closed_form(args) -> int:
     if args.cross_check:
         oracle = det_exact(hankel_matrix(terms, args.n, args.m), args.engine)
         cross = (oracle, oracle == value)
-    _emit_value("closed-form", params, value, cross, args.format)
+    _emit_value(args.format, "closed-form", params, value, cross)
     return 0
 
 
@@ -263,24 +257,9 @@ def cmd_jacobi(args) -> int:
     s = jp.s_list(args.depth - 1)
     t = jp.t_list(args.depth - 1)
     params = {"seq": args.seq, "depth": args.depth}
-    if args.format == "json":
-        payload = {
-            "command": "jacobi",
-            "params": params,
-            "s": [_elem_json(v) for v in s],
-            "t": [_elem_json(v) for v in t],
-        }
-        _emit(json.dumps(payload, indent=2, sort_keys=True))
-    elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["k"] + list(range(args.depth - 1)))
-        writer.writerow(["s"] + [str(v) for v in s])
-        writer.writerow(["t"] + [str(v) for v in t])
-        _emit(buf.getvalue())
-    else:
-        _emit("s: " + ", ".join(str(v) for v in s))
-        _emit("t: " + ", ".join(str(v) for v in t))
+    _emit_result(args.format, "jacobi", params, {"s": s, "t": t},
+                 [["k", *range(args.depth - 1)], ["s", *s], ["t", *t]],
+                 (f"{name}: {', '.join(map(str, v))}" for name, v in (("s", s), ("t", t))))
     return 0
 
 

@@ -130,7 +130,7 @@ def _is_symmetric(rows) -> bool:
     return all(rows[i][j] == rows[j][i] for i in range(len(rows)) for j in range(i))
 
 
-def _eliminate(M: SquareMatrix, require_symmetric: bool = False):
+def _eliminate(M: SquareMatrix):
     """Gaussian elimination with row pivoting, one column at a time.
 
     Yields (swapped, pivot, multipliers) per column: whether a row swap
@@ -138,13 +138,10 @@ def _eliminate(M: SquareMatrix, require_symmetric: bool = False):
     below it.  A zero pivot (nothing to pivot on) is yielded last.  While the
     matrix is symmetric and no swap has happened, the Schur complement stays
     symmetric: only its upper triangle is updated, and mirrored below.
-    With ``require_symmetric`` a non-symmetric matrix raises ValueError.
     """
     n = M.n
     a = [list(row) for row in M.entries]
     symmetric = _is_symmetric(M.entries)
-    if require_symmetric and not symmetric:
-        raise ValueError("matrix is not symmetric")
     for col in range(n):
         pivot_row = next((r for r in range(col, n) if not a[r][col].is_zero), None)
         if pivot_row is None:
@@ -334,10 +331,12 @@ def ldlt(H: SquareMatrix) -> LdltFactors:
     at the first column j that would need a row swap or has no pivot, which
     is exactly when the leading principal minor of order j + 1 is zero.
     """
+    if not _is_symmetric(H.entries):
+        raise ValueError("matrix is not symmetric")
     n = H.n
     A = [[F_ONE if i == j else F_ZERO for j in range(n)] for i in range(n)]
     D = []
-    for j, (swapped, pivot, multipliers) in enumerate(_eliminate(H, require_symmetric=True)):
+    for j, (swapped, pivot, multipliers) in enumerate(_eliminate(H)):
         if swapped or pivot.is_zero:
             raise SingularLeadingMinor(j + 1)
         D.append(pivot)

@@ -104,6 +104,20 @@ class CaseRecord:
     error: str = ""
 
 
+# A record's (count key, text mark) by (holds, expected_failure); an
+# expected failure that holds is an anomaly.
+_OUTCOMES = {
+    (True, False): ("passed", "PASS"),
+    (False, False): ("failed", "FAIL"),
+    (False, True): ("expected_failures", "XFAIL"),
+    (True, True): ("anomalies", "ANOM"),
+}
+
+
+def _outcome(r: CaseRecord) -> tuple:
+    return _OUTCOMES[r.holds, r.expected_failure]
+
+
 @dataclass
 class SuiteReport:
     suite: str
@@ -112,15 +126,9 @@ class SuiteReport:
     counts: dict = field(default_factory=dict)
 
     def finalize(self):
-        self.counts = {
-            "total": len(self.records),
-            "passed": sum(1 for r in self.records if r.holds and not r.expected_failure),
-            "failed": sum(1 for r in self.records if not r.holds and not r.expected_failure),
-            "expected_failures": sum(
-                1 for r in self.records if r.expected_failure and not r.holds
-            ),
-            "anomalies": sum(1 for r in self.records if r.anomaly),
-        }
+        keys = [_outcome(r)[0] for r in self.records]
+        self.counts = {"total": len(keys),
+                       **{key: keys.count(key) for key, _ in _OUTCOMES.values()}}
         return self
 
     def summary(self) -> str:
@@ -314,12 +322,10 @@ class _Minors:
     to its n-th pivot, so the first case in the run to read a minor pays
     for the steps up to it in its ``wall_ms``.  If the build raises (a term
     with a pole), each order builds its own matrix: only the orders that
-    read the failing term fail, each with the error it raises alone.
-    Without a run table it shares with no other grid."""
+    read the failing term fail, each with the error it raises alone."""
 
-    def __init__(self, build, n_max, engine, run=None):
-        self.build, self.n_max, self.engine = build, n_max, engine
-        self.run = run or _RunTable()
+    def __init__(self, build, n_max, engine, run):
+        self.build, self.n_max, self.engine, self.run = build, n_max, engine, run
         self.tables = {}  # m -> the shared (minors so far, the elimination), or () per order
 
     def __call__(self, n, m):
@@ -342,7 +348,7 @@ class _Minors:
         return values[n - 1]
 
 
-def _hankel_det(engine, seq, n_max, run=None):
+def _hankel_det(engine, seq, n_max, run):
     """The oracle of hankel_matrix(seq(), n, m), one seq() for every m."""
     seq = cache(seq)
     return _Minors(lambda n, m: hankel_matrix(seq(), n, m), n_max, engine, run)
@@ -798,14 +804,7 @@ def report_to_text(report: SuiteReport) -> str:
     lines = [f"suite {report.suite} (n<={report.spec['n_max']}, m<={report.spec['m_max']}, "
              f"engine={report.spec['engine']}, seed={report.spec['seed']})"]
     for r in report.records:
-        if r.anomaly:
-            mark = "ANOM"
-        elif r.expected_failure:
-            mark = "XFAIL"
-        elif r.holds:
-            mark = "PASS"
-        else:
-            mark = "FAIL"
+        mark = _outcome(r)[1]
         loc = f"n={r.n} m={r.m}"
         params = f" {r.params}" if r.params else ""
         extra = f"  [{r.error}]" if r.error else ""

@@ -16,7 +16,7 @@ from hankelkit import cli
 from hankelkit.cli import (BAREISS_SIZE_LIMIT, BIT_BUDGET, CLOSED_FORM_SIZE_LIMIT,
                            CROSS_CHECK_SIZE_LIMIT, DET_CROSS_CHECK_SIZE_LIMIT, DET_SIZE_LIMIT,
                            SIZE_LIMITS, VERIFY_BAREISS_SIZE_LIMIT, VERIFY_SIZE_LIMIT, _admit, main)
-from hankelkit.field import parse_field_expr, q
+from hankelkit.field import FieldElem, coeff_strings, parse_field_expr, q
 from hankelkit.sequences import parse_sequence_spec
 
 
@@ -660,3 +660,130 @@ class TestRenderRoundTrip:
             code, out, _ = run_cli(capsys, *args)
             assert code == 0
             parse_field_expr(out.strip())
+
+
+# Every command in every format: each triangle input mode, det by each engine,
+# by the lemma and with --cross-check, closed-form with and without --x and
+# --cross-check, and jacobi.
+OUTPUT_MATRIX = (
+    ["triangle", "--seq", "c:q^2,q,q^2", "--rows", "4"],
+    ["triangle", "--T", "q,1/(1+q),2,q^2,-1/3", "--rows", "4"],
+    ["triangle", "--T", "q", "--zero-s", "--rows", "5"],
+    ["triangle", "--s", "q,1/2,-q", "--t", "1/(1+q),q^2", "--rows", "4"],
+    ["det", "--seq", "c:q^2,q,q^2", "--n", "3", "--m", "1"],
+    ["det", "--seq", "c:q^2,q,q^2", "--n", "3", "--m", "1", "--engine", "bareiss"],
+    ["det", "--seq", "c:q^2,q,q^2", "--n", "3", "--via", "lemma"],
+    ["det", "--seq", "c:q^2,-q,q^2", "--n", "3", "--cross-check"],
+    ["closed-form", "Carlitz", "--n", "3", "--m", "2"],
+    ["closed-form", "BracketFalling", "--n", "3", "--x", "5/2", "--cross-check"],
+    ["jacobi", "--seq", "c:q^2,q,q^2", "--depth", "4"],
+)
+FORMATS = ("pretty", "json", "csv")
+
+
+def _coeffs(x):
+    return {"num_coeffs": coeff_strings(x.num), "den_coeffs": coeff_strings(x.den)}
+
+
+def _pretty_terms(line):
+    """Split a line of space-separated rendered values: a space inside a
+    value always stands next to a binary operator."""
+    terms = []
+    tokens = iter(line.split(" "))
+    for token in tokens:
+        if token in ("+", "-", "/"):
+            terms[-1] += f" {token} {next(tokens)}"
+        else:
+            terms.append(token)
+    return terms
+
+
+def _values(command, out, fmt):
+    """The field elements a command printed, in order, as JSON coefficient
+    strings (CSV cells and pretty terms through parse_field_expr), and the
+    cross-check verdict (None without one)."""
+    if fmt == "json":
+        payload = json.loads(out)
+        if command == "triangle":
+            return [v for row in payload["rows"] for v in row], None
+        if command == "jacobi":
+            return payload["s"] + payload["t"], None
+        cross = payload["cross_check"]
+        if cross is None:
+            return [payload["result"]], None
+        return [payload["result"], cross["oracle"]], cross["matches"]
+    if fmt == "csv":
+        rows = list(csv.reader(io.StringIO(out)))
+        verdict = None
+        if command == "triangle":
+            cells = [cell for row in rows for cell in row]
+        elif command == "jacobi":
+            assert [row[0] for row in rows] == ["k", "s", "t"]
+            assert rows[0][1:] == [str(k) for k in range(len(rows[1]) - 1)]
+            cells = rows[1][1:] + rows[2][1:]
+        else:
+            header, row = rows
+            cells = [row[header.index("result")]]
+            if "oracle" in header:
+                cells.append(row[header.index("oracle")])
+                verdict = {"True": True, "False": False}[row[header.index("matches")]]
+    else:
+        lines = out.splitlines()
+        verdict = None
+        if command == "triangle":
+            cells = [term for line in lines for term in _pretty_terms(line)]
+        elif command == "jacobi":
+            assert [line[:3] for line in lines] == ["s: ", "t: "]
+            cells = [term for line in lines for term in line[3:].split(", ")]
+        else:
+            cells = [lines[0]]
+            if len(lines) > 1:
+                assert lines[1].startswith("cross-check: ") and len(lines) == 3
+                cells.append(lines[1].removeprefix("cross-check: "))
+                verdict = {"matches: yes": True, "matches: no": False}[lines[2]]
+    return [_coeffs(parse_field_expr(cell)) for cell in cells], verdict
+
+
+class TestOutputFormats:
+    def test_output_matrix_pinned(self, capsys):
+        # every command's output in every format, byte for byte
+        digest = hashlib.sha256()
+        for argv in OUTPUT_MATRIX:
+            for fmt in FORMATS:
+                code, out, _ = run_cli(capsys, *argv, "--format", fmt)
+                assert code == 0, (argv, fmt)
+                digest.update(out.encode())
+        assert digest.hexdigest() == (
+            "39979d8e2819b51fe1febe4770443af2cb15bf7ef913ed161fc5c5b81e5fe6d6")
+
+    def test_json_renders_no_value(self, capsys, monkeypatch):
+        # only the asked format is rendered: JSON writes coefficient strings
+        def refuse(self):
+            raise AssertionError("a field element was rendered")
+
+        monkeypatch.setattr(FieldElem, "__str__", refuse)
+        for argv in OUTPUT_MATRIX:
+            code, out, _ = run_cli(capsys, *argv, "--format", "json")
+            assert code == 0 and json.loads(out)["command"] == argv[0]
+
+    @pytest.mark.parametrize("argv", OUTPUT_MATRIX, ids=" ".join)
+    def test_formats_denote_the_same_values(self, capsys, argv):
+        values = {}
+        for fmt in FORMATS:
+            code, out, _ = run_cli(capsys, *argv, "--format", fmt)
+            assert code == 0
+            values[fmt] = _values(argv[0], out, fmt)
+        assert values["pretty"] == values["json"] == values["csv"]
+        assert values["json"][0]
+
+    @pytest.mark.parametrize("argv", [a for a in OUTPUT_MATRIX if a[0] in ("det", "closed-form")],
+                             ids=" ".join)
+    def test_csv_params_are_the_json_params(self, capsys, argv):
+        _, out, _ = run_cli(capsys, *argv, "--format", "json")
+        payload = json.loads(out)
+        _, out, _ = run_cli(capsys, *argv, "--format", "csv")
+        header, row = csv.reader(io.StringIO(out))
+        params = payload["params"]  # sorted by key; the CSV keeps the command's order
+        assert header[0] == "command" and row[0] == payload["command"]
+        assert dict(zip(header[1:len(params) + 1], row[1:])) == {
+            key: str(value) for key, value in params.items()}

@@ -208,7 +208,7 @@ class TestRunSuite:
                  lambda n, m: det_exact(hankel_matrix(seq(), n, m), other)),
             ])))
 
-        shared = records(_hankel_det(engine, seq, 4))
+        shared = records(_hankel_det(engine, seq, 4, _RunTable()))
         assert shared == records(lambda n, m: det_exact(hankel_matrix(seq(), n, m), engine))
         assert [(r.n, r.m) for r in shared if not r.holds] == [(4, 1), (4, 2)]
         assert {r.error for r in shared if not r.holds} == {
@@ -290,7 +290,8 @@ class TestRunTable:
         shared = records(_hankel_det(engine, seq, 4, run), _hankel_det(engine, seq, 4, run))
         assert [M.n for M, _ in eliminated] == [4]  # m = 0, shared by both grids
         assert len(run.eliminations) == 1
-        assert shared == records(_hankel_det(engine, seq, 4), _hankel_det(engine, seq, 4))
+        assert shared == records(_hankel_det(engine, seq, 4, _RunTable()),
+                                 _hankel_det(engine, seq, 4, _RunTable()))
         assert [(r.check, r.n, r.m) for r in shared if not r.holds] == [
             ("pole 0", 4, 1), ("pole 1", 4, 1), ("pole 0", 4, 2), ("pole 1", 4, 2)]
 
