@@ -126,6 +126,12 @@ def _emit_value(fmt: str, command: str, params: dict, value: FieldElem, cross) -
                  [header, row], lines())
 
 
+def _cross_check_code(cross) -> int:
+    """The exit code of det and closed-form: 1, a verification failure, when
+    the cross-check ran and does not match."""
+    return 1 if cross is not None and not cross[1] else 0
+
+
 def _size(x: FieldElem) -> int:
     """len x bit length of the numerator and denominator vectors of x."""
     return sum(len(v) * max(map(int.bit_length, v)) for v in (x.n, x.d)) if x.n else 0
@@ -228,7 +234,7 @@ def cmd_det(args) -> int:
         other = lemma_value if args.via == "oracle" else oracle_value
         cross = (other, other == value)
     _emit_value(args.format, "det", params, value, cross)
-    return 0
+    return _cross_check_code(cross)
 
 
 def cmd_closed_form(args) -> int:
@@ -245,7 +251,7 @@ def cmd_closed_form(args) -> int:
         oracle = det_exact(hankel_matrix(terms, args.n, args.m), args.engine)
         cross = (oracle, oracle == value)
     _emit_value(args.format, "closed-form", params, value, cross)
-    return 0
+    return _cross_check_code(cross)
 
 
 def cmd_jacobi(args) -> int:

@@ -235,6 +235,36 @@ divisions from 43 364 to 27 584 and the time inside FieldElem additions
 from 2.83 to 2.02 s; the median repetition over ten runs went from 6.59 to
 5.58 s.
 
+A multiply-add x + u1 v1 + ... + uk vk, as each entry of the triangle
+recurrence (k = 2) and each Schur update of the elimination (k = 1) is, is
+reduced once (``_add_products``).  Each product is formed unreduced: its
+content by ``_times``, numerator u.n v.n and denominator u.d v.d.  The
+products are summed over one running lcm L of their denominators, at k - 1
+gcds, and x = a/b joins them as in Henrici's sum, with g = gcd(b, L), b = b'
+g and L = L' g: (a L' + s b') / (b' L), where b' L = lcm(b, L).  That
+numerator is reduced against L alone.  A prime whose power in b exceeds its
+power in L is a pole of x, which is reduced, of higher order than any pole
+of the products' sum there; so the whole pole survives in the sum, and the
+prime cannot divide its numerator.  Every other prime power of b' L divides
+L.  A triangle entry took 8 gcds (2 per product and 2 per sum) and now
+takes 3; a Schur update took 4 and now takes 2.  In the benchmark's
+``build_triangle(contract(qmoment_T), 17)`` on ``c:q^2,q,q^2`` the
+``_gcd_cofactors`` calls went from 1122 to 425, and in the n = 10, m = 1
+``det_division`` from 770 to 440.  Reducing against b' L instead was
+slower: the ``det --engine division`` call of ``det-kernels`` took 0.159-0.161
+against 0.149-0.158 s in three pairs of runs.  When every operand is a rational
+constant, the multiply-add, and ``+`` and ``*`` of two constants, run on
+ints alone: in one ``roundtrip-verify`` repetition 17 600 of the 46 132
+calls of ``+`` and ``*`` had two constant operands.  The result is the
+unique canonical form either way.  Over ten alternating pairs of benchmark
+runs (55 s each, reference seconds, 2 cores, Python 3.11) the medians went:
+
+    roundtrip-verify  wall_s                  1.142 -> 1.045 s (10 of 10 lower)
+                      jacobi, depth 10        0.130 -> 0.110 s
+                      triangle, 18 rows       0.177 -> 0.153 s
+    det-kernels       wall_s                  1.094 -> 1.074 s (9 of 10 lower)
+                      det --engine division   0.176 -> 0.155 s
+
 Contents are ints, not ``Fraction``s.  A product cancels the two contents
 across each other with two ``math.gcd`` calls and builds no object, and
 ``render`` prints coefficient k as p (k/g) / (r/g) with g = gcd(k, r); when
@@ -874,6 +904,8 @@ class FieldElem:
             return other
         if not other.n:
             return self
+        if self.n == self.d == other.n == other.d == (1,):
+            return _constant(self.p * other.r + other.p * self.r, self.r * other.r)
         # Henrici: for b = b' g, d = d' g with g = gcd(b, d), the sum is
         # (a d' + c b') / (b' d) and its numerator is coprime to b' d', so
         # only g can share a factor with it
@@ -917,6 +949,8 @@ class FieldElem:
             return NotImplemented
         if not self.n or not other.n:
             return F_ZERO
+        if self.n == self.d == other.n == other.d == (1,):
+            return FieldElem._raw(*_times(self.p, self.r, other.p, other.r), (1,), (1,))
         _, n1, d2 = _gcd_cofactors(self.n, other.d)
         _, n2, d1 = _gcd_cofactors(other.n, self.d)
         p, r = _times(self.p, self.r, other.p, other.r)
@@ -985,6 +1019,62 @@ class FieldElem:
 
 F_ZERO = FieldElem._raw(0, 1, (), (1,))
 F_ONE = FieldElem._raw(1, 1, (1,), (1,))
+
+
+def _constant(num, den):
+    """num/den in lowest terms, a rational constant, for ints num and
+    den > 0."""
+    if not num:
+        return F_ZERO
+    g = math.gcd(num, den)
+    return FieldElem._raw(num // g, den // g, (1,), (1,))
+
+
+def _add_products(x, pairs):
+    """x + sum(u v for u, v in pairs), for FieldElems, reduced once (module
+    docstring).  Each product is formed unreduced: content p/r by ``_times``,
+    numerator u.n v.n and denominator u.d v.d.  The products are summed over
+    one running lcm L of their denominators, and the sum with x, which is
+    reduced, is reduced against L alone."""
+    prods = [(*_times(u.p, u.r, v.p, v.r), _mul_int(u.n, v.n), _mul_int(u.d, v.d))
+             for u, v in pairs if u.n and v.n]
+    if not prods:
+        return x
+    if x.d == (1,) and len(x.n) <= 1 and all(n == d == (1,) for _, _, n, d in prods):
+        # rational constants: integers only
+        num, den = x.p, x.r
+        for p, r, _, _ in prods:
+            num, den = num * r + p * den, den * r
+        return _constant(num, den)
+    vec = ()
+    for p, r, n, d in prods:
+        if not vec:
+            # the first product, or the first after a sum that cancelled
+            sp, sr, vec, lcm = p, r, n, d
+        elif d == lcm:
+            sp, sr, vec = _combine(sp, sr, vec, p, r, n)
+        else:
+            _, lcm_cof, d_cof = _gcd_cofactors(lcm, d)
+            sp, sr, vec = _combine(sp, sr, _mul_int(vec, d_cof), p, r, _mul_int(n, lcm_cof))
+            lcm = _mul_int(lcm, d_cof)
+    if not vec:
+        return x
+    if not x.n:
+        _, n, den = _gcd_cofactors(vec, lcm)
+        return FieldElem._raw(sp, sr, n, den)
+    # with b = b' g and L = L' g for g = gcd(b, L), the sum is (a L' + s b') /
+    # (b' L); a prime power of b beyond L's cannot divide that numerator
+    b = x.d
+    if b == lcm:
+        b_cof = (1,)
+        p, r, n = _combine(x.p, x.r, x.n, sp, sr, vec)
+    else:
+        _, b_cof, lcm_cof = _gcd_cofactors(b, lcm)
+        p, r, n = _combine(x.p, x.r, _mul_int(x.n, lcm_cof), sp, sr, _mul_int(vec, b_cof))
+    if not n:
+        return F_ZERO
+    _, n, lcm = _gcd_cofactors(n, lcm)
+    return FieldElem._raw(p, r, n, _mul_int(b_cof, lcm))
 
 
 def _coerce(v):

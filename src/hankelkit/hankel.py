@@ -4,7 +4,9 @@ the inversion from moments back to Jacobi parameters.
 One Gaussian elimination with row pivoting, ``_eliminate``, serves both
 the ``division`` engine (the signed product of its pivots) and ``ldlt``
 (multipliers A, pivots D).  On a symmetric matrix, as every Hankel matrix
-is, it updates only the upper triangle until its first row swap.
+is, it updates only the upper triangle until its first row swap.  Each
+Schur update a_rc - m a_kc is one multiply-add reduced once
+(``field._add_products``): two gcds, where a product and a sum take four.
 
 The ``bareiss`` engine, the oracle of the other two with no algebra shared,
 is fraction-free elimination (Bareiss, Math. Comp. 22, 1968) over Z[q], on
@@ -75,8 +77,8 @@ from __future__ import annotations
 import math
 
 from .errors import NotNormalized, SingularLeadingMinor
-from .field import (F_ONE, F_ZERO, FieldElem, _gcd_cofactors, _mul_int, _sum_of_products,
-                    _try_div_exact, as_field)
+from .field import (F_ONE, F_ZERO, FieldElem, _add_products, _gcd_cofactors, _mul_int,
+                    _sum_of_products, _try_div_exact, as_field)
 from .sequences import MomentSeq
 from .triangle import JacobiParams
 
@@ -130,8 +132,9 @@ def _is_symmetric(rows) -> bool:
     return all(rows[i][j] == rows[j][i] for i in range(len(rows)) for j in range(i))
 
 
-def _eliminate(M: SquareMatrix):
-    """Gaussian elimination with row pivoting, one column at a time.
+def _eliminate(M: SquareMatrix, symmetric: bool):
+    """Gaussian elimination with row pivoting, one column at a time;
+    ``symmetric`` says whether M is (``_is_symmetric``).
 
     Yields (swapped, pivot, multipliers) per column: whether a row swap
     brought the pivot up, the pivot, and a[r][col] / pivot for each row r
@@ -141,7 +144,6 @@ def _eliminate(M: SquareMatrix):
     """
     n = M.n
     a = [list(row) for row in M.entries]
-    symmetric = _is_symmetric(M.entries)
     for col in range(n):
         pivot_row = next((r for r in range(col, n) if not a[r][col].is_zero), None)
         if pivot_row is None:
@@ -158,9 +160,10 @@ def _eliminate(M: SquareMatrix):
         for r, ratio in enumerate(multipliers, col + 1):
             if ratio.is_zero:
                 continue
+            neg = -ratio
             row = a[r]
             for c in range(r if symmetric else col + 1, n):
-                row[c] = row[c] - ratio * top[c]
+                row[c] = _add_products(row[c], ((neg, top[c]),))
             if symmetric:
                 for c in range(r + 1, n):
                     a[c][r] = row[c]
@@ -169,7 +172,7 @@ def _eliminate(M: SquareMatrix):
 def det_division(M: SquareMatrix) -> FieldElem:
     """Determinant by field Gaussian elimination: the signed pivot product."""
     det = F_ONE
-    for swapped, pivot, _ in _eliminate(M):
+    for swapped, pivot, _ in _eliminate(M, _is_symmetric(M.entries)):
         det = det * pivot
         if swapped:
             det = -det
@@ -306,7 +309,7 @@ def leading_minors(M: SquareMatrix, engine: str = DEFAULT_ENGINE):
     order = 0
     if engine == "division":
         minor = F_ONE
-        for swapped, pivot, _ in _eliminate(M):
+        for swapped, pivot, _ in _eliminate(M, _is_symmetric(M.entries)):
             if swapped or pivot.is_zero:
                 break
             minor = minor * pivot
@@ -336,7 +339,7 @@ def ldlt(H: SquareMatrix) -> LdltFactors:
     n = H.n
     A = [[F_ONE if i == j else F_ZERO for j in range(n)] for i in range(n)]
     D = []
-    for j, (swapped, pivot, multipliers) in enumerate(_eliminate(H)):
+    for j, (swapped, pivot, multipliers) in enumerate(_eliminate(H, True)):
         if swapped or pivot.is_zero:
             raise SingularLeadingMinor(j + 1)
         D.append(pivot)

@@ -153,12 +153,3 @@ def binomial_alt_sum_term(a: FieldElem, n: int, k: int) -> FieldElem:
     """The k-th summand of the signed q-binomial sum (for term-level bridges)."""
     term = _binomial_summand(as_field(a), n, k)
     return -term if k % 2 else term
-
-
-def weighted_alt_sum_term(p: QParams, n: int, k: int) -> FieldElem:
-    """(-1)^k A(2n, 2k) prod_{j<k} T(2j) for the q-moment family."""
-    weight = F_ONE
-    for j in range(k):
-        weight = weight * qmoment_T(2 * j, p)
-    term = qmoment_A(2 * n, 2 * k, p) * weight
-    return -term if k % 2 else term

@@ -2,7 +2,9 @@
 
 build_triangle runs the three-term recurrence
 a(n, k) = a(n-1, k-1) + s(k) a(n-1, k) + t(k) a(n-1, k+1) driven by Jacobi
-parameters (s, t); its column 0 is the moment sequence.  The zero-s triangle
+parameters (s, t); its column 0 is the moment sequence.  Each entry is one
+multiply-add reduced once (``field._add_products``): three gcds, where two
+products and two sums take eight.  The zero-s triangle
 of a weight sequence T is the case (s, t) = (0, T): build_zero_s_triangle is
 that call.  contract recovers the (s, t) of the even moments from T; rescale
 maps the moment scaling x^n onto the parameters; cross_sum is the bilinear
@@ -13,7 +15,7 @@ from __future__ import annotations
 
 import functools
 
-from .field import F_ONE, F_ZERO, FieldElem, as_field
+from .field import F_ONE, F_ZERO, FieldElem, _add_products, as_field
 
 
 def _lookup(values):
@@ -107,18 +109,15 @@ def build_triangle(jp: JacobiParams, n_max: int) -> Triangle:
     rows = [[F_ONE]]
     for n in range(1, n_max + 1):
         prev = rows[-1]
-        # skip s/t factors whose multiplicand is a structural zero, so finite
-        # parameter tables are never read past what the rows actually need
-        v = jp.s(0) * prev[0]
-        if len(prev) > 1:
-            v = v + jp.t(0) * prev[1]
-        row = [v]
-        for k in range(1, n + 1):
-            v = prev[k - 1]
-            if k < len(prev):
-                v = v + jp.s(k) * prev[k]
-            if k + 1 < len(prev):
-                v = v + jp.t(k) * prev[k + 1]
+        row = []
+        # s/t factors whose multiplicand is a structural zero are skipped, so
+        # finite parameter tables are never read past what the rows need
+        for k in range(n + 1):
+            v = prev[k - 1] if k else F_ZERO
+            if k + 1 < n:
+                v = _add_products(v, ((jp.s(k), prev[k]), (jp.t(k), prev[k + 1])))
+            elif k < n:
+                v = _add_products(v, ((jp.s(k), prev[k]),))
             row.append(v)
         rows.append(row)
     return Triangle(rows)

@@ -1,10 +1,10 @@
 """Hypothesis profiles.
 
 ``ci`` is Hypothesis's own ``ci`` profile with more examples.  Loaded by
-``pytest --hypothesis-profile=ci``, it raises the property tests of the gcd
-and of exact division in test_field_internals.py, which ask for their count
-through ``examples``, to its ``max_examples``; tests with a fixed count keep
-theirs.  Without the option every test runs its own count.
+``pytest --hypothesis-profile=ci``, it raises the property tests of the gcd,
+of exact division and of the multiply-add in test_field_internals.py, which
+ask for their count through ``examples``, to its ``max_examples``; tests with
+a fixed count keep theirs.  Without the option every test runs its own count.
 """
 
 from hypothesis import settings

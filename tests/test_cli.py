@@ -262,6 +262,39 @@ class TestClosedFormCommand:
         assert rows[1][-1] == "4"
 
 
+class TestCrossCheckMismatch:
+    """A cross-check that does not match prints its result and exits 1."""
+
+    CASES = {
+        # the lemma side of det --cross-check is off by one
+        "det": (["det", "--seq", "catalan", "--n", "3", "--cross-check"], "det_from_jacobi"),
+        # the closed form is off by one against its brute-force determinant
+        "closed-form": (["closed-form", "BracketFalling", "--n", "3", "--x", "5/2",
+                         "--cross-check"], "closed_form"),
+    }
+
+    @pytest.mark.parametrize("fmt", ["pretty", "json", "csv"])
+    @pytest.mark.parametrize("command", sorted(CASES))
+    def test_mismatch_exits_1(self, capsys, monkeypatch, command, fmt):
+        argv, target = self.CASES[command]
+        original = getattr(cli, target)
+        monkeypatch.setattr(cli, target, lambda *args: original(*args) + 1)
+        code, out, err = run_cli(capsys, *argv, "--format", fmt)
+        assert code == 1 and err == ""
+        if fmt == "pretty":
+            assert out.splitlines()[-1] == "matches: no"
+        elif fmt == "json":
+            assert json.loads(out)["cross_check"]["matches"] is False
+        else:
+            rows = list(csv.reader(io.StringIO(out)))
+            assert rows[0][-1] == "matches" and rows[1][-1] == "False"
+
+    @pytest.mark.parametrize("command", sorted(CASES))
+    def test_match_exits_0(self, capsys, command):
+        code, out, _ = run_cli(capsys, *self.CASES[command][0])
+        assert code == 0 and out.splitlines()[-1] == "matches: yes"
+
+
 class TestJacobiCommand:
     def test_catalan(self, capsys):
         code, out, _ = run_cli(capsys, "jacobi", "--seq", "catalan", "--depth", "5")

@@ -5,8 +5,9 @@ exact division against schoolbook references, on both sides of their
 packing cut-offs, and of the decimal long multiply and its guards; and of
 the gcd's cofactors against a residue-list Euclid over GF(p) and against
 sympy, of the slot-fit check that reads them off the packed quotient, and
-the Henrici addition built on them.  ``examples`` raises the property tests
-of the gcd and of exact division to the ``ci`` profile's count when
+the Henrici addition and the once-reduced multiply-add built on them.
+``examples`` raises the property tests of the gcd, of exact division and of
+the multiply-add to the ``ci`` profile's count when
 ``pytest --hypothesis-profile=ci`` loads it (tests/conftest.py)."""
 
 import decimal
@@ -28,6 +29,7 @@ from hankelkit.field import (
     _MUL_PACK_MIN,
     FieldElem,
     Polynomial,
+    _add_products,
     _divexact_2adic,
     _gcd_cofactors,
     _mul_int,
@@ -921,6 +923,85 @@ def test_henrici_addition_with_equal_denominators_reduces():
     )
     one_minus_q = Polynomial([1, -1])
     assert FieldElem(1, one_minus_q) - FieldElem(Polynomial([0, 1]), one_minus_q) == 1
+
+
+# operand shapes of _add_products: rational functions whose denominators
+# carry a shared factor, or a factor of their own
+_OPERAND_SHAPES = {
+    "constant": ("zero", "constant"),
+    "polynomial": ("zero", "constant", "polynomial"),
+    "mixed": ("zero", "constant", "polynomial", "shared", "own"),
+}
+
+
+@st.composite
+def add_products_cases(draw):
+    """(x, pairs) with one to three pairs: every operand a rational
+    constant, every operand a polynomial or constant, or a mix with rational
+    functions; any operand may be zero.  Sometimes x cancels the products'
+    sum, or all of it but one more operand."""
+    rng = random.Random(draw(st.integers(0, 1 << 32)))
+    bits = draw(st.integers(1, 30))
+    shapes = _OPERAND_SHAPES[draw(st.sampled_from(sorted(_OPERAND_SHAPES)))]
+    shared = Polynomial(_random_vector(rng, draw(st.integers(2, 6)), bits))
+    span = 1 << bits
+
+    def poly():
+        return Polynomial(_random_vector(rng, rng.randint(1, 8), bits))
+
+    def operand():
+        shape = draw(st.sampled_from(shapes))
+        if shape == "zero":
+            return as_field(0)
+        if shape == "constant":
+            return as_field(Fraction(rng.randint(-span, span), rng.randint(1, span)))
+        if shape == "polynomial":
+            return poly() * Fraction(1, rng.randint(1, span))
+        den = poly() * shared if shape == "shared" else poly()
+        return FieldElem(poly(), den)
+
+    pairs = [(operand(), operand()) for _ in range(draw(st.integers(1, 3)))]
+    x = operand()
+    cancel = draw(st.sampled_from(("none", "all", "all but x")))
+    if cancel != "none":
+        total = as_field(0)
+        for u, v in pairs:
+            total = total + u * v
+        x = x - total if cancel == "all but x" else -total
+    return x, pairs
+
+
+def _slots(e):
+    return e.p, e.r, e.n, e.d
+
+
+@settings(max_examples=examples(150), deadline=None)
+@given(add_products_cases())
+def test_add_products_matches_the_operators(case):
+    x, pairs = case
+    expected = x
+    for u, v in pairs:
+        expected = expected + u * v
+    assert _slots(_add_products(x, pairs)) == _slots(expected)
+
+
+def test_add_products_edge_cases():
+    zero, x = as_field(0), FieldElem(Polynomial([1, 2]), Polynomial([3, 0, 1]))
+    u = FieldElem(Polynomial([0, 1]), Polynomial([1, 1]))
+    # zero factors leave x itself
+    assert _add_products(x, ((zero, u), (u, zero))) is x
+    assert _add_products(x, ()) is x
+    # a zero x with one product: u v reduced
+    assert _slots(_add_products(zero, ((u, 1 / u),))) == _slots(as_field(1))
+    # a sum that cancels to zero, and x that cancels the products
+    assert _slots(_add_products(zero, ((u, u), (-u, u)))) == _slots(zero)
+    assert _slots(_add_products(u * u, ((-u, u),))) == _slots(zero)
+    # a product cancelled inside the sum leaves x over its own denominator
+    assert _add_products(x, ((u, u), (-u, u))) is x
+    # rational constants take integers only, and reduce
+    half, third = as_field(Fraction(1, 2)), as_field(Fraction(1, 3))
+    assert _slots(_add_products(half, ((third, half), (third, as_field(3))))) == (
+        _slots(as_field(Fraction(5, 3))))
 
 
 def _division_log(monkeypatch):

@@ -1,5 +1,6 @@
 """Determinant engines, LDL^t factorization and moment inversion."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hankelkit import hankel
-from hankelkit.closed_forms import oracle_matrix
+from hankelkit.closed_forms import QParams, oracle_matrix, qmoment_T
 from hankelkit.errors import NotNormalized, SingularLeadingMinor
 from hankelkit.field import as_field, parse_field_expr, q
 from hankelkit.hankel import (
@@ -30,7 +31,7 @@ from hankelkit.sequences import (
     andrews_q_catalan,
     parse_sequence_spec,
 )
-from hankelkit.triangle import build_triangle
+from hankelkit.triangle import JacobiParams, TSeq, build_triangle, contract
 
 
 def rational_entries(M):
@@ -161,6 +162,42 @@ def test_ldlt_reconstructs():
         assert reconstruct(ldlt(H), H.n) == H
 
 
+def _slots_digest(rows):
+    return hashlib.sha256(
+        repr([[(e.p, e.r, e.n, e.d) for e in row] for row in rows]).encode()).hexdigest()
+
+
+def _qmoment_triangle():
+    seq = parse_sequence_spec("c:q^2,q,q^2")
+    p = QParams(seq.a, seq.b, seq.base)
+    return build_triangle(contract(TSeq(lambda k: qmoment_T(k, p))), 12).rows
+
+
+def _rational_triangle():
+    jp = JacobiParams([Fraction(2 * k + 1, k + 3) for k in range(12)],
+                      [Fraction(k + 2, 2 * k + 5) for k in range(12)])
+    return build_triangle(jp, 12).rows
+
+
+def _ldlt_rows(seq):
+    factors = ldlt(hankel_matrix(seq, 8))
+    return [*factors.A.entries, factors.D]
+
+
+@pytest.mark.parametrize("rows, digest", [
+    (_qmoment_triangle, "37eb5fda0b516bd8affc9e640242537fb132c1bd9a5b33baa2c7ac6e137d40c4"),
+    (_rational_triangle, "36ebd36490b0150ddaaa78490c2a78e2714719d678c341b761eaced655088cf6"),
+    (lambda: _ldlt_rows(parse_sequence_spec("c:q^2,q,q^2")),
+     "30e386c9b541fc7cf7e5ef8bf2504b3724128ee40bd44eddcfd386c4e706543d"),
+    # the Hilbert matrix: every entry is a rational constant
+    (lambda: _ldlt_rows(lambda k: Fraction(1, k + 1)),
+     "bca8af7921dea567e39a79047832345a3b9f859db9179dbbf2fde355e1c01d74"),
+], ids=["triangle-qmoment", "triangle-rational", "ldlt-qmoment", "ldlt-hilbert"])
+def test_multiply_add_results_are_pinned(rows, digest):
+    # the slots (p, r, n, d) of every entry, as the separate * and + built them
+    assert _slots_digest(rows()) == digest
+
+
 def test_ldlt_singular_minor():
     with pytest.raises(SingularLeadingMinor) as err:
         ldlt(SquareMatrix([[1, 1], [1, 1]]))
@@ -172,6 +209,19 @@ def test_ldlt_rejects_a_non_symmetric_matrix():
         ldlt(SquareMatrix([[1, 2], [3, 4]]))
     with pytest.raises(ValueError, match="not symmetric"):
         ldlt(SquareMatrix([[1, 0, 0], [0, 1, 0], [0, q, 1]]))
+
+
+def test_ldlt_tests_symmetry_once(monkeypatch):
+    calls = []
+    original = hankel._is_symmetric
+
+    def counted(rows):
+        calls.append(len(rows))
+        return original(rows)
+
+    monkeypatch.setattr(hankel, "_is_symmetric", counted)
+    ldlt(hankel_matrix(CatalanSeq(), 5))
+    assert calls == [5]
 
 
 def test_zero_leading_minor_after_an_update():

@@ -16,7 +16,6 @@ from hankelkit.identities import (
     check_row_sum,
     check_weighted_alt_sum,
     check_weighted_row_sum,
-    weighted_alt_sum_term,
 )
 from hankelkit.qcalc import gauss_binomial, q_pochhammer
 from hankelkit.triangle import JacobiParams, TSeq, build_triangle
@@ -135,6 +134,15 @@ class TestWeightedRowSum:
         cb = QParams(q ** 2, q, q ** 2)
         assert rep.rhs == (2 / (1 + q ** 2)) * qmoment_A(2, 0, cb)
         assert qmoment_A(2, 0, cb) == 1 / (1 + q)
+
+
+def weighted_alt_sum_term(p, n, k):
+    """(-1)^k A(2n, 2k) prod_{j<k} T(2j) for the q-moment family."""
+    weight = F_ONE
+    for j in range(k):
+        weight = weight * qmoment_T(2 * j, p)
+    term = qmoment_A(2 * n, 2 * k, p) * weight
+    return -term if k % 2 else term
 
 
 class TestAltSumTermBridge:
