@@ -66,7 +66,12 @@ on KS2 (best of 5 replays, 3 rounds, Python 3.11).  Leaves of 16 to 128
 coefficients differed by less than the noise between sweeps, 32 was
 within 7 % of the fastest at (1301, 600), (601, 200) and (1301, 100), and
 8 was slower.  The traced peak of new memory at (1301, 600) is 1.54 MB
-against 1.48 MB for KS2, and 0.22 against 0.23 MB at (601, 200).
+against 1.48 MB for KS2, and 0.22 against 0.23 MB at (601, 200).  With
+``_MUL_DEC_MIN`` = inf the median ``wall_s`` of ``det-kernels`` rose about
+19 %, from 1.071 to 1.272 s in three alternating pairs of 20 s runs, since
+the certificate of the (1300, 600) exact division multiplies through it
+too: that row went from 0.21 to 0.32 s and the (1300, 600) product from
+0.08 to 0.18 s.
 
 A signed sum of products of integer vectors, as every Bareiss update is,
 runs one KS2 for the whole sum (``_sum_of_products``): each term's two
@@ -225,45 +230,37 @@ with the rule it took 6.9 s, and the replayed gcds of the two workloads
 took 243 against 326 ms (268 cofactors fell back) and 114 against 135 ms.
 
 The gcd returns the cofactors its certificate computed, (h, f/h, g/h), so
-no caller divides by a gcd it has just computed.  Addition is Henrici's
-(JACM 1956; Knuth, TAOCP vol. 2, 4.5.1): for reduced a/b and c/d with
-g = gcd(b, d), b = b' g and d = d' g, the sum is (a d' + c b') / (b' d),
-and its numerator is coprime to b' d', so it is reduced against g alone,
-and not at all when g = 1.  In one repetition of the benchmark's
-``roundtrip-verify`` workload (Python 3.11, one core) the two cut the exact
-divisions from 43 364 to 27 584 and the time inside FieldElem additions
-from 2.83 to 2.02 s; the median repetition over ten runs went from 6.59 to
-5.58 s.
+no caller divides by a gcd it has just computed.
 
-A multiply-add x + u1 v1 + ... + uk vk, as each entry of the triangle
-recurrence (k = 2) and each Schur update of the elimination (k = 1) is, is
-reduced once (``_add_products``).  Each product is formed unreduced: its
-content by ``_times``, numerator u.n v.n and denominator u.d v.d.  The
-products are summed over one running lcm L of their denominators, at k - 1
-gcds, and x = a/b joins them as in Henrici's sum, with g = gcd(b, L), b = b'
-g and L = L' g: (a L' + s b') / (b' L), where b' L = lcm(b, L).  That
-numerator is reduced against L alone.  A prime whose power in b exceeds its
-power in L is a pole of x, which is reduced, of higher order than any pole
-of the products' sum there; so the whole pole survives in the sum, and the
-prime cannot divide its numerator.  Every other prime power of b' L divides
-L.  A triangle entry took 8 gcds (2 per product and 2 per sum) and now
-takes 3; a Schur update took 4 and now takes 2.  In the benchmark's
-``build_triangle(contract(qmoment_T), 17)`` on ``c:q^2,q,q^2`` the
-``_gcd_cofactors`` calls went from 1122 to 425, and in the n = 10, m = 1
-``det_division`` from 770 to 440.  Reducing against b' L instead was
-slower: the ``det --engine division`` call of ``det-kernels`` took 0.159-0.161
-against 0.149-0.158 s in three pairs of runs.  When every operand is a rational
+Every sum in Q(q) follows one rule (``_add_reduced``): a reduced x = a/b
+plus y = s/L, for any primitive L, is joined as in Henrici's sum (JACM
+1956; Knuth, TAOCP vol. 2, 4.5.1) by ``_join``: with g = gcd(b, L), b = b'
+g and L = L' g, it is (a L' + s b') / (b' L), where b' L = lcm(b, L), and
+no gcd is taken when b = L.  That numerator is reduced against L alone.  A
+prime whose power in b exceeds its power in L is a pole of x, which is
+reduced, of higher order than any pole of y there; so the whole pole
+survives in the sum, and the prime cannot divide its numerator.  Every
+other prime power of b' L divides L.  ``+`` is the case L = d of a reduced
+y = c/d.  A multiply-add x + u1 v1 + ... + uk vk, as each entry of the
+triangle recurrence (k = 2) and each Schur update of the elimination (k =
+1) is, is the case where y is the products' sum (``_add_products``): each
+product is formed unreduced, its content by ``_times``, numerator u.n v.n
+and denominator u.d v.d, and the products are summed by the same join over
+one running lcm L of their denominators, at k - 1 gcds.  A triangle entry
+then takes 3 gcds where separate ``*`` and ``+`` take 8, and a Schur update
+2 where they take 4.  Reducing against b' L instead of L was slower: the
+``det --engine division`` call of ``det-kernels`` took 0.159-0.161 against
+0.149-0.158 s in three pairs of runs.  Two other routes were measured and
+lose.  ``+`` as a multiply-add of the one product y times 1 made
+``roundtrip-verify`` 4 % slower, in 4 of 4 pairs of runs, for the per-call
+set-up of the product.  ``*`` as a multiply-add of one product onto 0 made
+38 % fewer gcd calls in ``verify all`` than the product that cancels n1
+against d2 and n2 against d1, but their summed input length rose 8 % and
+the CPU time of ``verify all`` 10-18 %.  When every operand is a rational
 constant, the multiply-add, and ``+`` and ``*`` of two constants, run on
 ints alone: in one ``roundtrip-verify`` repetition 17 600 of the 46 132
 calls of ``+`` and ``*`` had two constant operands.  The result is the
-unique canonical form either way.  Over ten alternating pairs of benchmark
-runs (55 s each, reference seconds, 2 cores, Python 3.11) the medians went:
-
-    roundtrip-verify  wall_s                  1.142 -> 1.045 s (10 of 10 lower)
-                      jacobi, depth 10        0.130 -> 0.110 s
-                      triangle, 18 rows       0.177 -> 0.153 s
-    det-kernels       wall_s                  1.094 -> 1.074 s (9 of 10 lower)
-                      det --engine division   0.176 -> 0.155 s
+unique canonical form either way.
 
 Contents are ints, not ``Fraction``s.  A product cancels the two contents
 across each other with two ``math.gcd`` calls and builds no object, and
@@ -847,8 +844,8 @@ class FieldElem:
     ``den`` are p/r n and d as Polynomials, the subclass whose elements have
     d = (1,).  Equality and hashing compare the four slots.  Every
     element is kept reduced: ``__init__`` reduces, and each ``_raw`` site
-    builds a form that is coprime by construction.  Addition relies on this
-    invariant to reduce against gcd(b, d) only.
+    builds a form that is coprime by construction.  A sum relies on this
+    invariant to reduce against one operand's denominator only.
     """
 
     __slots__ = ("p", "r", "n", "d")
@@ -906,25 +903,7 @@ class FieldElem:
             return self
         if self.n == self.d == other.n == other.d == (1,):
             return _constant(self.p * other.r + other.p * self.r, self.r * other.r)
-        # Henrici: for b = b' g, d = d' g with g = gcd(b, d), the sum is
-        # (a d' + c b') / (b' d) and its numerator is coprime to b' d', so
-        # only g can share a factor with it
-        b, d = self.d, other.d
-        if b == d:
-            g, b_cof, d_cof = d, (1,), (1,)
-            p, r, n = _combine(self.p, self.r, self.n, other.p, other.r, other.n)
-        else:
-            g, b_cof, d_cof = _gcd_cofactors(b, d)
-            p, r, n = _combine(self.p, self.r, _mul_int(self.n, d_cof),
-                               other.p, other.r, _mul_int(other.n, b_cof))
-        if not n:
-            return F_ZERO
-        h, n, g_cof = _gcd_cofactors(n, g)
-        if len(h) == 1:
-            den = _mul_int(b_cof, d)
-        else:
-            den = _mul_int(_mul_int(b_cof, d_cof), g_cof)
-        return FieldElem._raw(p, r, n, den)
+        return _add_reduced(self, other.p, other.r, other.n, other.d)
 
     __radd__ = __add__
 
@@ -1030,6 +1009,30 @@ def _constant(num, den):
     return FieldElem._raw(num // g, den // g, (1,), (1,))
 
 
+def _join(xp, xr, a, b, yp, yr, c, d):
+    """xp/xr a/b + yp/yr c/d for nonzero contents and primitive b, d, over
+    lcm(b, d) = b' d with b = b' g and g = gcd(b, d), unreduced: (p, r,
+    numerator vector, b')."""
+    if b == d:
+        return (*_combine(xp, xr, a, yp, yr, c), (1,))
+    _, b_cof, d_cof = _gcd_cofactors(b, d)
+    return (*_combine(xp, xr, _mul_int(a, d_cof), yp, yr, _mul_int(c, b_cof)), b_cof)
+
+
+def _add_reduced(x, p, r, vec, lcm):
+    """x + p/r vec/lcm for a reduced FieldElem x, a nonzero content p/r and
+    nonzero primitive vec and lcm: joined over lcm(x.d, lcm) and reduced
+    against lcm alone (module docstring)."""
+    if not x.n:
+        _, n, den = _gcd_cofactors(vec, lcm)
+        return FieldElem._raw(p, r, n, den)
+    p, r, n, b_cof = _join(x.p, x.r, x.n, x.d, p, r, vec, lcm)
+    if not n:
+        return F_ZERO
+    _, n, lcm = _gcd_cofactors(n, lcm)
+    return FieldElem._raw(p, r, n, _mul_int(b_cof, lcm))
+
+
 def _add_products(x, pairs):
     """x + sum(u v for u, v in pairs), for FieldElems, reduced once (module
     docstring).  Each product is formed unreduced: content p/r by ``_times``,
@@ -1051,30 +1054,12 @@ def _add_products(x, pairs):
         if not vec:
             # the first product, or the first after a sum that cancelled
             sp, sr, vec, lcm = p, r, n, d
-        elif d == lcm:
-            sp, sr, vec = _combine(sp, sr, vec, p, r, n)
         else:
-            _, lcm_cof, d_cof = _gcd_cofactors(lcm, d)
-            sp, sr, vec = _combine(sp, sr, _mul_int(vec, d_cof), p, r, _mul_int(n, lcm_cof))
-            lcm = _mul_int(lcm, d_cof)
+            sp, sr, vec, lcm_cof = _join(sp, sr, vec, lcm, p, r, n, d)
+            lcm = _mul_int(lcm_cof, d)
     if not vec:
         return x
-    if not x.n:
-        _, n, den = _gcd_cofactors(vec, lcm)
-        return FieldElem._raw(sp, sr, n, den)
-    # with b = b' g and L = L' g for g = gcd(b, L), the sum is (a L' + s b') /
-    # (b' L); a prime power of b beyond L's cannot divide that numerator
-    b = x.d
-    if b == lcm:
-        b_cof = (1,)
-        p, r, n = _combine(x.p, x.r, x.n, sp, sr, vec)
-    else:
-        _, b_cof, lcm_cof = _gcd_cofactors(b, lcm)
-        p, r, n = _combine(x.p, x.r, _mul_int(x.n, lcm_cof), sp, sr, _mul_int(vec, b_cof))
-    if not n:
-        return F_ZERO
-    _, n, lcm = _gcd_cofactors(n, lcm)
-    return FieldElem._raw(p, r, n, _mul_int(b_cof, lcm))
+    return _add_reduced(x, sp, sr, vec, lcm)
 
 
 def _coerce(v):

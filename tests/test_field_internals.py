@@ -5,7 +5,7 @@ exact division against schoolbook references, on both sides of their
 packing cut-offs, and of the decimal long multiply and its guards; and of
 the gcd's cofactors against a residue-list Euclid over GF(p) and against
 sympy, of the slot-fit check that reads them off the packed quotient, and
-the Henrici addition and the once-reduced multiply-add built on them.
+of the one reduced sum that ``+`` and the multiply-add share, built on them.
 ``examples`` raises the property tests of the gcd, of exact division and of
 the multiply-add to the ``ci`` profile's count when
 ``pytest --hypothesis-profile=ci`` loads it (tests/conftest.py)."""
@@ -889,19 +889,38 @@ def elem_pairs(draw):
     return x, y
 
 
+def list_sum(a, b, sign=1):
+    """a + sign b on coefficient lists."""
+    out = [0] * max(len(a), len(b))
+    for i, v in enumerate(a):
+        out[i] += v
+    for i, v in enumerate(b):
+        out[i] += sign * v
+    return out
+
+
 def cross_sum(x, y, sign=1):
     """x + sign y as (a d + sign c b) / (b d), for x = a / b and y = c / d,
     formed on coefficient lists by schoolbook_mul and reduced by the
     constructor, not by FieldElem addition."""
     a, b = x.num.coefficients, x.den.coefficients
     c, d = y.num.coefficients, y.den.coefficients
-    ad, cb = schoolbook_mul(a, d), schoolbook_mul(c, b)
-    num = [0] * max(len(ad), len(cb))
-    for i, v in enumerate(ad):
-        num[i] += v
-    for i, v in enumerate(cb):
-        num[i] += sign * v
+    num = list_sum(schoolbook_mul(a, d), schoolbook_mul(c, b), sign)
     return FieldElem(Polynomial(num), Polynomial(schoolbook_mul(b, d)))
+
+
+def multiply_add(x, pairs):
+    """x + sum(u v for u, v in pairs) as one fraction whose numerator and
+    denominator are formed on coefficient lists by schoolbook_mul and
+    list_sum, reduced once by the constructor: neither FieldElem addition
+    nor ``_add_products`` builds it."""
+    num, den = x.num.coefficients, x.den.coefficients
+    for u, v in pairs:
+        pn = schoolbook_mul(u.num.coefficients, v.num.coefficients)
+        pd = schoolbook_mul(u.den.coefficients, v.den.coefficients)
+        num = list_sum(schoolbook_mul(num, pd), schoolbook_mul(pn, den))
+        den = schoolbook_mul(den, pd)
+    return FieldElem(Polynomial(num), Polynomial(den))
 
 
 @settings(max_examples=examples(60), deadline=None)
@@ -979,10 +998,12 @@ def _slots(e):
 @given(add_products_cases())
 def test_add_products_matches_the_operators(case):
     x, pairs = case
-    expected = x
+    expected = _slots(multiply_add(x, pairs))
+    assert _slots(_add_products(x, pairs)) == expected
+    total = x
     for u, v in pairs:
-        expected = expected + u * v
-    assert _slots(_add_products(x, pairs)) == _slots(expected)
+        total = total + u * v
+    assert _slots(total) == expected
 
 
 def test_add_products_edge_cases():

@@ -23,6 +23,7 @@ from hankelkit.hankel import (
     ldlt,
     leading_minors,
 )
+from hankelkit.identities import check_binomial_alt_sum, check_binomial_sum
 from hankelkit.sequences import (
     CatalanSeq,
     CentralBinomialSeq,
@@ -167,10 +168,10 @@ def _slots_digest(rows):
         repr([[(e.p, e.r, e.n, e.d) for e in row] for row in rows]).encode()).hexdigest()
 
 
-def _qmoment_triangle():
+def _contracted_qmoment():
     seq = parse_sequence_spec("c:q^2,q,q^2")
     p = QParams(seq.a, seq.b, seq.base)
-    return build_triangle(contract(TSeq(lambda k: qmoment_T(k, p))), 12).rows
+    return contract(TSeq(lambda k: qmoment_T(k, p)))
 
 
 def _rational_triangle():
@@ -184,17 +185,50 @@ def _ldlt_rows(seq):
     return [*factors.A.entries, factors.D]
 
 
+def _jacobi_s(spec):
+    return [jacobi_from_moments(parse_sequence_spec(spec), 8).s_list(7)]
+
+
+def _binomial_sums():
+    return [[check(q ** 3, n).lhs for n in range(7)]
+            for check in (check_binomial_sum, check_binomial_alt_sum)]
+
+
+def _partial_sums():
+    acc, rows = as_field(1), []
+    for k in range(1, 9):
+        acc = acc + q ** k / (1 + q ** k)
+        rows.append([acc, 1 - acc, acc - q ** k])
+    return rows
+
+
 @pytest.mark.parametrize("rows, digest", [
-    (_qmoment_triangle, "37eb5fda0b516bd8affc9e640242537fb132c1bd9a5b33baa2c7ac6e137d40c4"),
+    (lambda: build_triangle(_contracted_qmoment(), 12).rows,
+     "37eb5fda0b516bd8affc9e640242537fb132c1bd9a5b33baa2c7ac6e137d40c4"),
     (_rational_triangle, "36ebd36490b0150ddaaa78490c2a78e2714719d678c341b761eaced655088cf6"),
     (lambda: _ldlt_rows(parse_sequence_spec("c:q^2,q,q^2")),
      "30e386c9b541fc7cf7e5ef8bf2504b3724128ee40bd44eddcfd386c4e706543d"),
     # the Hilbert matrix: every entry is a rational constant
     (lambda: _ldlt_rows(lambda k: Fraction(1, k + 1)),
      "bca8af7921dea567e39a79047832345a3b9f859db9179dbbf2fde355e1c01d74"),
-], ids=["triangle-qmoment", "triangle-rational", "ldlt-qmoment", "ldlt-hilbert"])
+    # sums: s(k) = T(2k-1) + T(2k), whose denominators share a factor
+    (lambda: [_contracted_qmoment().s_list(12)],
+     "ee2d5a9bf5f29a46abae3d6e4d9ad74387a80f911618d4eff57e3981c97ba8aa"),
+    # s(k) = A[k+1][k] - A[k][k-1]: denominators that share a factor here,
+    (lambda: _jacobi_s("c:q^2,q,q^2"),
+     "a28f8ca941eff538a328b79d5ee9877069cd485e186248187f304734a671ba24"),
+    # and coprime ones here
+    (lambda: _jacobi_s("c:q^3,q^2,q^2"),
+     "113da122c9cf4561d3decc53d0d065d65be37fc29a97b501ef97b022705bab4f"),
+    # equal denominators, and alternating sums that cancel to zero
+    (_binomial_sums, "bca2a543184d1c66eab411dc86cc53a07deb027943321a376dedd0c23a3b49e0"),
+    # a polynomial plus fractions, coprime and sharing factors, with - both ways
+    (_partial_sums, "d18393b56c262474e680aa2d606068da5f59f037787ec6b6f8306deabca07db2"),
+], ids=["triangle-qmoment", "triangle-rational", "ldlt-qmoment", "ldlt-hilbert",
+        "contract-s", "jacobi-s-qmoment", "jacobi-s-coprime", "binomial-sums", "partial-sums"])
 def test_multiply_add_results_are_pinned(rows, digest):
-    # the slots (p, r, n, d) of every entry, as the separate * and + built them
+    # the slots (p, r, n, d) of every entry, as the separate * and + built
+    # them, with + reducing a sum against gcd(b, d)
     assert _slots_digest(rows()) == digest
 
 
